@@ -1,7 +1,9 @@
 // Package repro's root benchmarks regenerate every table and figure of the
 // paper at a reduced dataset scale (benchScale); cmd/experiments runs the
 // same code at arbitrary scales. One benchmark per experiment, plus
-// ablation benches for the design choices DESIGN.md calls out.
+// ablation benches for single pipeline design choices (propagation,
+// embedding width, augmentation, MLP width); README's "Benchmarks" section
+// shows how to run them.
 //
 //	go test -bench=. -benchmem
 package repro

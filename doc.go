@@ -4,8 +4,9 @@
 //
 // The module root carries the benchmark harness (bench_test.go) that
 // regenerates every table and figure of the paper's evaluation; the
-// implementation lives under internal/ (see DESIGN.md for the system
-// inventory) and the runnable entry points under cmd/ and examples/.
+// implementation lives under internal/ (README's "Package map" section is
+// the system inventory) and the runnable entry points under cmd/ and
+// examples/.
 //
 // Entry points: cmd/zeroed (one-shot CLI detection, plus -model-out /
 // -model-in for producing and consuming fitted-model artifacts),

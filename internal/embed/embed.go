@@ -9,6 +9,7 @@ package embed
 
 import (
 	"math"
+	"unicode/utf8"
 
 	"repro/internal/text"
 )
@@ -23,6 +24,9 @@ type Embedder struct {
 	dim  int
 	minN int
 	maxN int
+	// sign maps one hash bit to an n-gram's contribution to a coordinate:
+	// -1/sqrt(dim) for a 0 bit, +1/sqrt(dim) for a 1 bit.
+	sign [2]float64
 }
 
 // New creates an embedder with the given dimension. Character n-grams of
@@ -31,15 +35,16 @@ func New(dim int) *Embedder {
 	if dim <= 0 {
 		dim = DefaultDim
 	}
-	return &Embedder{dim: dim, minN: 3, maxN: 6}
+	scale := 1.0 / math.Sqrt(float64(dim))
+	return &Embedder{dim: dim, minN: 3, maxN: 6, sign: [2]float64{-scale, scale}}
 }
 
 // Dim returns the embedding dimensionality.
 func (e *Embedder) Dim() int { return e.dim }
 
 // fnv1a64 is the 64-bit FNV-1a hash, inlined to avoid allocations in the
-// hot loop.
-func fnv1a64(s string) uint64 {
+// hot loop. A string and a []byte holding the same bytes hash equally.
+func fnv1a64[T string | []byte](s T) uint64 {
 	const offset = 14695981039346656037
 	const prime = 1099511628211
 	h := uint64(offset)
@@ -53,44 +58,58 @@ func fnv1a64(s string) uint64 {
 // addNgram accumulates the hashed vector of one n-gram into acc. Each
 // n-gram deterministically contributes ±1/sqrt(dim) per coordinate, derived
 // from successive bits of iterated hashes — a random-projection sketch.
-func (e *Embedder) addNgram(acc []float64, gram string) {
+// Adding sign[0] = -scale is exactly subtracting scale, so the table lookup
+// replaces a branch without changing a bit.
+func (e *Embedder) addNgram(acc []float64, gram []byte) {
 	h := fnv1a64(gram)
-	scale := 1.0 / math.Sqrt(float64(e.dim))
-	for i := 0; i < e.dim; i++ {
+	acc = acc[:e.dim]
+	for i := range acc {
 		if i%64 == 0 && i > 0 {
-			h = fnv1a64(gram + string(rune('a'+i/64)))
+			h = fnv1a64(string(gram) + string(rune('a'+i/64)))
 		}
-		if (h>>(uint(i)%64))&1 == 1 {
-			acc[i] += scale
-		} else {
-			acc[i] -= scale
-		}
+		acc[i] += e.sign[(h>>(uint(i)%64))&1]
 	}
 }
 
-// wordVector embeds a single token as the normalized sum of its padded
-// character n-gram vectors (FastText's subword model).
-func (e *Embedder) wordVector(tok string) []float64 {
-	acc := make([]float64, e.dim)
-	padded := "<" + tok + ">"
-	rs := []rune(padded)
+// stackToken is the padded-token length, in bytes, up to which wordVector
+// works entirely in stack buffers; longer tokens fall back to the heap.
+const stackToken = 64
+
+// wordVector writes into acc (len dim) the embedding of a single token: the
+// normalized sum of its padded character n-gram vectors (FastText's
+// subword model). Each n-gram is hashed as a byte range of the padded
+// token, delimited at rune starts. Tokens from text.Tokenize are valid
+// UTF-8, so those ranges hold exactly the bytes of the n-gram's runes.
+func (e *Embedder) wordVector(acc []float64, tok string) {
+	clear(acc)
+	var buf [stackToken]byte
+	padded := append(append(append(buf[:0], '<'), tok...), '>')
+	// starts[k] is the byte offset of rune k; a final entry closes the
+	// last rune.
+	var startBuf [stackToken + 1]int32
+	starts := startBuf[:0]
+	for i, b := range padded {
+		if utf8.RuneStart(b) {
+			starts = append(starts, int32(i))
+		}
+	}
+	starts = append(starts, int32(len(padded)))
+	runes := len(starts) - 1
 	count := 0
 	for n := e.minN; n <= e.maxN; n++ {
-		if n > len(rs) {
+		if n > runes {
 			break
 		}
-		for i := 0; i+n <= len(rs); i++ {
-			e.addNgram(acc, string(rs[i:i+n]))
+		for i := 0; i+n <= runes; i++ {
+			e.addNgram(acc, padded[starts[i]:starts[i+n]])
 			count++
 		}
 	}
 	if count == 0 {
 		// Token shorter than the smallest n-gram window: hash it whole.
 		e.addNgram(acc, padded)
-		count = 1
 	}
 	normalize(acc)
-	return acc
 }
 
 // Embed returns the semantic vector for a cell value: tokenize, drop stop
@@ -98,22 +117,38 @@ func (e *Embedder) wordVector(tok string) []float64 {
 // token-free values embed to the zero vector, which keeps them clustered
 // together.
 func (e *Embedder) Embed(value string) []float64 {
+	out := make([]float64, e.dim)
+	e.EmbedInto(out, value)
+	return out
+}
+
+// EmbedInto writes Embed(value) into dst, which must hold at least Dim()
+// values. Beyond tokenizing the value it allocates nothing for dimensions
+// up to 64 and tokens up to stackToken-2 bytes.
+func (e *Embedder) EmbedInto(dst []float64, value string) {
+	dst = dst[:e.dim]
+	clear(dst)
 	toks := text.Tokenize(value)
-	acc := make([]float64, e.dim)
 	if len(toks) == 0 {
-		return acc
+		return
+	}
+	var wvBuf [64]float64
+	var wv []float64
+	if e.dim <= len(wvBuf) {
+		wv = wvBuf[:e.dim]
+	} else {
+		wv = make([]float64, e.dim)
 	}
 	for _, t := range toks {
-		wv := e.wordVector(t)
+		e.wordVector(wv, t)
 		for i, x := range wv {
-			acc[i] += x
+			dst[i] += x
 		}
 	}
 	inv := 1.0 / float64(len(toks))
-	for i := range acc {
-		acc[i] *= inv
+	for i := range dst {
+		dst[i] *= inv
 	}
-	return acc
 }
 
 // Cosine returns the cosine similarity between two vectors, 0 when either

@@ -2,9 +2,133 @@ package embed
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/text"
 )
+
+// refAddNgram, refWordVector and refEmbed are the reference embedder: each
+// n-gram materialized as a string of runes, its hash bits applied with a
+// branch. The production embedder must match it bit for bit.
+func refAddNgram(e *Embedder, acc []float64, gram string) {
+	h := fnv1a64(gram)
+	scale := 1.0 / math.Sqrt(float64(e.dim))
+	for i := 0; i < e.dim; i++ {
+		if i%64 == 0 && i > 0 {
+			h = fnv1a64(gram + string(rune('a'+i/64)))
+		}
+		if (h>>(uint(i)%64))&1 == 1 {
+			acc[i] += scale
+		} else {
+			acc[i] -= scale
+		}
+	}
+}
+
+func refWordVector(e *Embedder, tok string) []float64 {
+	acc := make([]float64, e.dim)
+	padded := "<" + tok + ">"
+	rs := []rune(padded)
+	count := 0
+	for n := e.minN; n <= e.maxN; n++ {
+		if n > len(rs) {
+			break
+		}
+		for i := 0; i+n <= len(rs); i++ {
+			refAddNgram(e, acc, string(rs[i:i+n]))
+			count++
+		}
+	}
+	if count == 0 {
+		refAddNgram(e, acc, padded)
+	}
+	normalize(acc)
+	return acc
+}
+
+func refEmbed(e *Embedder, value string) []float64 {
+	toks := text.Tokenize(value)
+	acc := make([]float64, e.dim)
+	if len(toks) == 0 {
+		return acc
+	}
+	for _, t := range toks {
+		for i, x := range refWordVector(e, t) {
+			acc[i] += x
+		}
+	}
+	inv := 1.0 / float64(len(toks))
+	for i := range acc {
+		acc[i] *= inv
+	}
+	return acc
+}
+
+// sameBits reports whether Embed and EmbedInto both match the reference
+// embedding of value bit for bit.
+func sameBits(e *Embedder, value string) bool {
+	want := refEmbed(e, value)
+	into := make([]float64, e.dim+1)
+	into[0] = 7 // EmbedInto must overwrite, not accumulate
+	e.EmbedInto(into, value)
+	for i, got := range e.Embed(value) {
+		if math.Float64bits(got) != math.Float64bits(want[i]) ||
+			math.Float64bits(into[i]) != math.Float64bits(want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+var embedDims = []int{1, 32, 64, 65, 100}
+
+// TestEmbedMatchesReference pins the byte-offset, branch-free embedder to
+// the reference on multibyte runes, tokens longer than the stack buffers,
+// short tokens, and dimensions on both sides of the 64-bit rehash.
+func TestEmbedMatchesReference(t *testing.T) {
+	long := strings.Repeat("abcdefghij", 9)
+	values := []string{
+		"", "x", "ab", "Bob Johnson", "surgical infection prevention",
+		"日本語テスト", "naïve café Ωmega", "Ünïcödé-ßtraße 12", "😀😃x😄",
+		"étoile", long, long + "日本" + long, strings.Repeat("語", 40),
+		"a1 b2 c3 the of", "MiXeD CaSe 0042",
+	}
+	for _, dim := range embedDims {
+		e := New(dim)
+		for _, v := range values {
+			if !sameBits(e, v) {
+				t.Errorf("dim %d: Embed(%q) differs from the reference", dim, v)
+			}
+		}
+	}
+}
+
+// TestEmbedMatchesReferenceProperty checks the same equivalence on random
+// strings.
+func TestEmbedMatchesReferenceProperty(t *testing.T) {
+	for _, dim := range embedDims {
+		e := New(dim)
+		if err := quick.Check(func(v string) bool { return sameBits(e, v) }, nil); err != nil {
+			t.Errorf("dim %d: %v", dim, err)
+		}
+	}
+}
+
+// TestWordVectorZeroAlloc guards the per-token path: a token that fits the
+// stack buffers embeds without allocating at any dimension up to 64.
+func TestWordVectorZeroAlloc(t *testing.T) {
+	for _, dim := range []int{1, 32, 64} {
+		e := New(dim)
+		acc := make([]float64, dim)
+		for _, tok := range []string{"x", "surgical", "straße日本"} {
+			if allocs := testing.AllocsPerRun(100, func() { e.wordVector(acc, tok) }); allocs != 0 {
+				t.Errorf("dim %d: wordVector(%q) allocates %v per run, want 0", dim, tok, allocs)
+			}
+		}
+	}
+}
 
 func TestDeterminism(t *testing.T) {
 	e := New(32)

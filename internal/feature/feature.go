@@ -151,7 +151,7 @@ func NewExtractor(d *table.Dataset, cfg Config) *Extractor {
 		dict := d.Dict(j)
 		flat := make([]float64, len(dict)*cfg.EmbedDim)
 		for id, v := range dict {
-			copy(flat[id*cfg.EmbedDim:], e.emb.Embed(v))
+			e.emb.EmbedInto(flat[id*cfg.EmbedDim:], v)
 		}
 		e.embByID[j] = flat
 	}
@@ -277,7 +277,7 @@ func (e *Extractor) base(i, j int, out []float64) {
 		copy(out[p:p+dim], flat[int(id)*dim:])
 	} else {
 		// Value interned after construction (synthetic error value).
-		copy(out[p:p+dim], e.emb.Embed(e.d.DictValue(j, id)))
+		e.emb.EmbedInto(out[p:p+dim], e.d.DictValue(j, id))
 	}
 	p += dim
 	// f_cri: criteria adherence, padded with the neutral pass value.

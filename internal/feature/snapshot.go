@@ -121,7 +121,7 @@ func FromSnapshot(s *Snapshot, d *table.Dataset) (*Extractor, error) {
 		dict := d.Dict(j)
 		flat := make([]float64, len(dict)*cfg.EmbedDim)
 		for id, v := range dict {
-			copy(flat[id*cfg.EmbedDim:], e.emb.Embed(v))
+			e.emb.EmbedInto(flat[id*cfg.EmbedDim:], v)
 		}
 		e.embByID[j] = flat
 	}

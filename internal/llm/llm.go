@@ -6,7 +6,8 @@
 // implements a *simulated* LLM: a deterministic reasoning engine behind the
 // same prompt interface.
 //
-// Faithfulness contract (documented in DESIGN.md):
+// Faithfulness contract (README's opening section and its "Package map"
+// row for internal/llm summarize it):
 //
 //   - Information flow matches the paper. Every method first renders the
 //     exact prompt text (task description + serialized data + auxiliary

@@ -2,6 +2,8 @@ package model
 
 import (
 	"hash/crc32"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/zeroed"
@@ -87,5 +89,48 @@ func TestLineageRoundTrip(t *testing.T) {
 	}
 	if l := back.Lineage(); l.Version != 3 || l.RefitRows != 1234 {
 		t.Fatalf("lineage round-trip = %+v, want {3 1234}", l)
+	}
+}
+
+// withNaNWeight returns a copy of artifact with the network's first layer-1
+// weight replaced by NaN and the net section's checksum recomputed, so only
+// the weight's value is wrong.
+func withNaNWeight(t *testing.T, artifact []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), artifact...)
+	off := len(Magic) + 8
+	for range sectionOrder[:len(sectionOrder)-1] {
+		off += 12 + int(le.Uint64(out[off+4:])) + 4
+	}
+	if id := le.Uint32(out[off:]); id != secNet {
+		t.Fatalf("last section has id %d, want the net section", id)
+	}
+	plen := int(le.Uint64(out[off+4:]))
+	payload := out[off+12 : off+12+plen]
+	// Payload: has-net flag (1 byte), In/Hidden1/Hidden2 (8 bytes each),
+	// then W1's element count (4 bytes) and its first element.
+	if payload[0] != 1 {
+		t.Fatal("artifact has no network")
+	}
+	le.PutUint64(payload[1+24+4:], math.Float64bits(math.NaN()))
+	le.PutUint32(out[off+12+plen:], crc32.ChecksumIEEE(out[off:off+12+plen]))
+	return out
+}
+
+// TestDecodeRejectsNonFiniteWeight: an artifact whose checksums are valid
+// but whose network holds a NaN weight is corrupt, not a model that would
+// serve NaN scores.
+func TestDecodeRejectsNonFiniteWeight(t *testing.T) {
+	m, _ := fitSmall(t)
+	data, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data); err != nil {
+		t.Fatalf("intact artifact rejected: %v", err)
+	}
+	_, err = Decode(withNaNWeight(t, data))
+	if !IsCorrupt(err) || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("NaN weight: err = %v, want a non-finite CorruptError", err)
 	}
 }

@@ -4,12 +4,18 @@
 // mini-batches. It is written from scratch on float64 slices — no external
 // ML dependencies — and is deterministic for a given seed.
 //
-// All weight matrices live in flat row-major []float64 buffers: layer i's
-// row r occupies w[r*cols : (r+1)*cols]. The training loop updates those
-// buffers in place (no flatten/unflatten round-trips), and inference
-// (Predict / PredictBatch / PredictInto) is allocation-free in steady
-// state, drawing activation scratch from an internal pool so that many
-// goroutines can score against one fitted model concurrently.
+// The two hidden-layer weight matrices live in flat column-major []float64
+// buffers: weight w[r][c] (output unit r, input c) of a layer with n output
+// units sits at w[c*n+r], so input column c is the contiguous slice
+// w[c*n:(c+1)*n]. Training and inference both run on that one layout: every
+// kernel walks input columns and advances all output accumulators from each,
+// and every accumulator still receives b[r] + w[r][0]*x[0] + w[r][1]*x[1] +
+// ... in ascending column order, so results are bit-identical to a naive
+// row-major dot product. Snapshot and FromSnapshot convert to and from
+// row-major at the artifact boundary. Inference (Predict / PredictBatch /
+// PredictInto) is allocation-free in steady state, drawing activation
+// scratch from an internal pool so that many goroutines can score against
+// one fitted model concurrently.
 package nn
 
 import (
@@ -37,12 +43,13 @@ func DefaultConfig() Config {
 	return Config{Hidden1: 64, Hidden2: 32, LR: 1e-3, Epochs: 30, BatchSize: 32, Seed: 1, L2: 1e-5}
 }
 
-// MLP is a 2-hidden-layer binary classifier. Weights are flat row-major.
+// MLP is a 2-hidden-layer binary classifier. w1 and w2 are flat
+// column-major (see the package comment).
 type MLP struct {
 	cfg     Config
 	in      int
-	w1      []float64 // Hidden1 x in
-	w2      []float64 // Hidden2 x Hidden1
+	w1      []float64 // Hidden1 x in, column-major: in columns of Hidden1
+	w2      []float64 // Hidden2 x Hidden1, column-major: Hidden1 columns of Hidden2
 	w3      []float64 // output weights (len Hidden2)
 	b1, b2  []float64
 	b3      float64
@@ -53,9 +60,28 @@ type MLP struct {
 	scratch sync.Pool
 }
 
-// fwdScratch is one goroutine's activation workspace.
+// predictBlock is the number of rows PredictInto advances together, the
+// row count blockAccum is unrolled for: each weight loaded from a column
+// slice feeds this many rows' accumulators. Two rows keep both rows' four
+// inputs in registers on amd64; four rows spill and measure slower.
+const predictBlock = 2
+
+// fwdScratch is one goroutine's activation workspace: predictBlock rows of
+// each hidden layer, row-major (row b's units at h[b*width:(b+1)*width]).
 type fwdScratch struct {
 	h1, h2 []float64
+}
+
+// initScratch sizes the pooled activation workspace from the layer
+// widths, so any Hidden1/Hidden2 works without a fixed cap.
+func (m *MLP) initScratch() {
+	h1n, h2n := m.cfg.Hidden1, m.cfg.Hidden2
+	m.scratch.New = func() any {
+		return &fwdScratch{
+			h1: make([]float64, predictBlock*h1n),
+			h2: make([]float64, predictBlock*h2n),
+		}
+	}
 }
 
 // New creates an MLP for the given input dimension with seeded He
@@ -86,23 +112,21 @@ func New(in int, cfg Config) *MLP {
 	m.w3 = heInit(rng, 1, cfg.Hidden2)
 	m.b1 = make([]float64, cfg.Hidden1)
 	m.b2 = make([]float64, cfg.Hidden2)
-	m.scratch.New = func() any {
-		return &fwdScratch{
-			h1: make([]float64, cfg.Hidden1),
-			h2: make([]float64, cfg.Hidden2),
-		}
-	}
+	m.initScratch()
 	return m
 }
 
-// heInit fills a flat rows x cols matrix with seeded He-initialized
-// weights, drawn in row-major order (the same draw order as the historical
-// [][]float64 initialization, so seeded weights are unchanged).
+// heInit fills a flat column-major rows x cols matrix with seeded
+// He-initialized weights. Values are drawn in row-major order (the draw
+// order of the historical [][]float64 initialization, so seeded weights are
+// unchanged) and stored at their column-major positions.
 func heInit(rng *rand.Rand, rows, cols int) []float64 {
 	scale := math.Sqrt(2.0 / float64(max(cols, 1)))
 	w := make([]float64, rows*cols)
-	for i := range w {
-		w[i] = rng.NormFloat64() * scale
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			w[c*rows+r] = rng.NormFloat64() * scale
+		}
 	}
 	return w
 }
@@ -117,37 +141,15 @@ func sigmoid(x float64) float64 {
 	return z / (1 + z)
 }
 
-// dotFrom accumulates s + Σ w[i]*x[i] left to right — the same
-// association as a naive loop starting at s, so results are bit-identical
-// to the pre-optimization code. Reslicing x to len(w) lets the compiler
-// drop per-iteration bounds checks in the innermost training loops.
+// dotFrom accumulates s + Σ w[i]*x[i] left to right. It serves the
+// single-unit output layer, whose weight vector has only one layout.
+// Reslicing x to len(w) lets the compiler drop per-iteration bounds checks.
 func dotFrom(s float64, w, x []float64) float64 {
 	x = x[:len(w)]
 	for i, wi := range w {
 		s += wi * x[i]
 	}
 	return s
-}
-
-// forward computes activations; h1 and h2 receive post-ReLU activations.
-func (m *MLP) forward(x []float64, h1, h2 []float64) float64 {
-	in := len(x)
-	for i := range h1 {
-		s := dotFrom(m.b1[i], m.w1[i*in:(i+1)*in], x)
-		if s < 0 {
-			s = 0
-		}
-		h1[i] = s
-	}
-	h1n := len(h1)
-	for i := range h2 {
-		s := dotFrom(m.b2[i], m.w2[i*h1n:(i+1)*h1n], h1)
-		if s < 0 {
-			s = 0
-		}
-		h2[i] = s
-	}
-	return sigmoid(dotFrom(m.b3, m.w3, h2))
 }
 
 // adamState holds first/second moment estimates for one parameter tensor.
@@ -278,28 +280,28 @@ func (m *MLP) train(ctx context.Context, at func(int) []float64, n int, y []floa
 	d2 := make([]float64, h2n)
 	d1 := make([]float64, h1n)
 
-	// Column-major working set. The hot per-sample loops walk one input
-	// column at a time and update every output unit's accumulator from it:
-	// each accumulator r still receives exactly b[r] + w[r][0]*x[0] +
-	// w[r][1]*x[1] + ... in ascending column order — the same left-to-right
-	// association as dotFrom — so the trained weights are bit-identical to
-	// the historical row-major loops. The payoff is instruction-level
+	// The forward pass runs directly on the model's column-major weights.
+	// The hot per-sample loops walk one input column at a time and update
+	// every output unit's accumulator from it: each accumulator r still
+	// receives exactly b[r] + w[r][0]*x[0] + w[r][1]*x[1] + ... in
+	// ascending column order — the same left-to-right association as a
+	// naive dot product — so the trained weights are bit-identical to the
+	// historical row-major loops. The payoff is instruction-level
 	// parallelism: a single row's dot product is one latency-bound chain of
 	// dependent adds, while the column walk advances h1n independent chains
-	// per cache-friendly sequential load. Layer 1 lives entirely in the
-	// transposed layout for the duration of training — weights, gradient,
-	// and Adam moments alike. L2 decay and Adam are strictly elementwise
-	// (each parameter's update depends only on its own gradient and moment
-	// history, plus step-count scalars), so a consistent permutation of
-	// parameter order leaves every trained value bit-identical; the tile is
-	// folded back to row-major m.w1 once, after the final batch. Layer 2's
-	// transposed tile is refreshed after each Adam step (it is read
-	// row-major in the backward pass, so it keeps its canonical layout).
-	w1t := make([]float64, in*h1n)
-	w2t := make([]float64, h1n*h2n)
+	// per cache-friendly sequential load. Layer 1 lives entirely in that
+	// layout — weights, gradient, and Adam moments alike — with nothing to
+	// convert on the way in or out. L2 decay and Adam are strictly
+	// elementwise (each parameter's update depends only on its own gradient
+	// and moment history, plus step-count scalars), so the parameter order
+	// of a tensor never changes a trained value. Layer 2 is read row-major
+	// in the backward pass (one row per surviving output delta), so it
+	// trains on the row-major mirror w2r, filled once here, and is copied
+	// into the column-major m.w2 after each Adam step for the next forward
+	// pass.
+	w2r := make([]float64, h2n*h1n)
 	g1t := make([]float64, in*h1n)
-	transpose(w1t, m.w1, h1n, in)
-	transpose(w2t, m.w2, h2n, h1n)
+	transpose(w2r, m.w2, h1n, h2n)
 	d1nzIdx := make([]int32, h1n)
 	d1nzVal := make([]float64, h1n)
 
@@ -334,18 +336,18 @@ func (m *MLP) train(ctx context.Context, at func(int) []float64, n int, y []floa
 				}
 				// Forward, column-major: four input columns per pass, each
 				// accumulator taking its four products in ascending column
-				// order — the identical add sequence to dotFrom, at roughly
+				// order — a naive dot product's add sequence, at roughly
 				// half the instructions per multiply-add (the accumulator
 				// load/store and loop overhead amortize over four columns).
 				copy(h1, m.b1)
-				colMajorAccum(h1, w1t, x, in)
+				colMajorAccum(h1, m.w1, x, in)
 				for r, s := range h1 {
 					if s < 0 {
 						h1[r] = 0
 					}
 				}
 				copy(h2, m.b2)
-				colMajorAccum(h2, w2t, h1, h1n)
+				colMajorAccum(h2, m.w2, h1, h1n)
 				for r, s := range h2 {
 					if s < 0 {
 						h2[r] = 0
@@ -376,7 +378,7 @@ func (m *MLP) train(ctx context.Context, at func(int) []float64, n int, y []floa
 					// Reslice scratch views to the row length so the inner
 					// loop runs without bounds checks; per-element arithmetic
 					// order is unchanged.
-					row := m.w2[r*h1n : (r+1)*h1n]
+					row := w2r[r*h1n : (r+1)*h1n]
 					g := gradW2[r*h1n : r*h1n+len(row)]
 					hr := h1[:len(row)]
 					dr := d1[:len(row)]
@@ -387,7 +389,7 @@ func (m *MLP) train(ctx context.Context, at func(int) []float64, n int, y []floa
 					gradB2[r] += d2r
 				}
 				// Compact the surviving layer-1 deltas (ReLU kills about
-				// half), then scatter the outer product into the transposed
+				// half), then scatter the outer product into the column-major
 				// gradient tile column by column. Each g1t element receives
 				// the same single d1[r]*x[c] add per sample as the row-major
 				// loop did — only the (r, c) visit order changes, and every
@@ -411,13 +413,13 @@ func (m *MLP) train(ctx context.Context, at func(int) []float64, n int, y []floa
 				scatterOuter(g1t, nzIdx, nzVal, x, in, h1n)
 			}
 
-			// L2 decay + Adam updates. Layer 1 updates in place on the
-			// transposed tile (elementwise math is layout-blind); the
-			// other tensors update on their canonical flat layouts.
-			addL2(g1t, w1t, m.cfg.L2)
-			optW1.step(w1t, g1t, m.cfg.LR)
-			addL2(gradW2, m.w2, m.cfg.L2)
-			optW2.step(m.w2, gradW2, m.cfg.LR)
+			// L2 decay + Adam updates. Elementwise math is layout-blind:
+			// layer 1 updates in place on the model's column-major weights,
+			// layer 2 on its row-major mirror, the rest on their vectors.
+			addL2(g1t, m.w1, m.cfg.L2)
+			optW1.step(m.w1, g1t, m.cfg.LR)
+			addL2(gradW2, w2r, m.cfg.L2)
+			optW2.step(w2r, gradW2, m.cfg.LR)
 			addL2(gradW3, m.w3, m.cfg.L2)
 			optW3.step(m.w3, gradW3, m.cfg.LR)
 			optB1.step(m.b1, gradB1, m.cfg.LR)
@@ -425,28 +427,24 @@ func (m *MLP) train(ctx context.Context, at func(int) []float64, n int, y []floa
 			b3 := [1]float64{m.b3}
 			optB3.step(b3[:], gradB3, m.cfg.LR)
 			m.b3 = b3[0]
-			transpose(w2t, m.w2, h2n, h1n)
+			transpose(m.w2, w2r, h2n, h1n)
 		}
 		lastLoss = epochLoss / float64(len(idx))
 		if math.IsNaN(lastLoss) || math.IsInf(lastLoss, 0) {
 			return 0, fmt.Errorf("nn: non-finite training loss %v at epoch %d", lastLoss, epoch)
 		}
 	}
-	// Fold the transposed layer-1 tile back to the canonical row-major
-	// layout the inference path reads.
-	transpose(m.w1, w1t, in, h1n)
 	m.trained = true
 	return lastLoss, nil
 }
 
-// colMajorAccum adds W·x into acc against the transposed weight tile wt
+// colMajorAccum adds W·x into acc against the column-major weights wt
 // (in columns of len(acc), column c at wt[c*len(acc):]). Accumulator r
 // receives w[r][0]*x[0] + w[r][1]*x[1] + ... strictly in ascending column
-// order — dotFrom's exact left-to-right association, so results are
-// bit-identical to the row-major loops — but the columns advance len(acc)
-// independent dependency chains, and processing four columns per pass
-// amortizes the accumulator load/store and loop overhead across four
-// multiply-adds.
+// order — a naive dot product's exact left-to-right association, so results
+// are bit-identical to it — but the columns advance len(acc) independent
+// dependency chains, and processing four columns per pass amortizes the
+// accumulator load/store and loop overhead across four multiply-adds.
 func colMajorAccum(acc, wt, x []float64, in int) {
 	n := len(acc)
 	c := 0
@@ -476,7 +474,7 @@ func colMajorAccum(acc, wt, x []float64, in int) {
 }
 
 // scatterOuter accumulates the outer product of the compacted deltas
-// (nzVal at rows nzIdx) and the input x into the transposed gradient tile
+// (nzVal at rows nzIdx) and the input x into the column-major gradient tile
 // gt (in columns of width rows). Every gt element receives at most one
 // d*x add per sample — the same single add the row-major loop performed —
 // so batch accumulation order per element is unchanged; four input columns
@@ -507,9 +505,8 @@ func scatterOuter(gt []float64, nzIdx []int32, nzVal []float64, x []float64, in,
 }
 
 // transpose fills dst (a flat cols x rows matrix) with the transpose of
-// src (a flat rows x cols matrix). Values are copied verbatim, so the
-// column-major training tiles hold exactly the same float64 bits as the
-// canonical row-major weights.
+// src (a flat rows x cols matrix), converting between the row-major and
+// column-major forms of one matrix. Values are copied verbatim.
 func transpose(dst, src []float64, rows, cols int) {
 	for r := 0; r < rows; r++ {
 		row := src[r*cols : (r+1)*cols]
@@ -542,38 +539,104 @@ func addL2(grads, params []float64, l2 float64) {
 // Predict returns the error probability for a single feature vector. It is
 // allocation-free in steady state and safe for concurrent use.
 func (m *MLP) Predict(x []float64) float64 {
-	sc := m.getScratch()
-	p := m.forward(x, sc.h1, sc.h2)
-	m.scratch.Put(sc)
-	return p
+	var out [1]float64
+	m.PredictInto(x, 1, out[:])
+	return out[0]
 }
 
 // PredictInto runs batched inference over a flat row-major feature tile:
 // X holds nRows vectors of the model's input dimension back to back, and
-// out (length >= nRows) receives the error probability of each row. The
-// activation scratch is pooled, so steady-state calls allocate nothing,
-// and many goroutines may score against one fitted model concurrently.
+// out (length >= nRows) receives the error probability of each row. Rows
+// advance predictBlock at a time through the column-major weights, so each
+// weight load feeds a whole block of rows. The activation scratch is
+// pooled, so steady-state calls allocate nothing, and many goroutines may
+// score against one fitted model concurrently.
 func (m *MLP) PredictInto(X []float64, nRows int, out []float64) {
 	if nRows <= 0 {
 		return
 	}
-	dim := m.in
+	in, h1n, h2n := m.in, m.cfg.Hidden1, m.cfg.Hidden2
 	sc := m.getScratch()
-	for r := 0; r < nRows; r++ {
-		out[r] = m.forward(X[r*dim:(r+1)*dim], sc.h1, sc.h2)
+	for r0 := 0; r0 < nRows; r0 += predictBlock {
+		nb := min(predictBlock, nRows-r0)
+		h1 := sc.h1[:nb*h1n]
+		h2 := sc.h2[:nb*h2n]
+		for b := 0; b < nb; b++ {
+			copy(h1[b*h1n:], m.b1)
+			copy(h2[b*h2n:], m.b2)
+		}
+		accumRows(h1, m.w1, X[r0*in:(r0+nb)*in], nb, in)
+		relu(h1)
+		accumRows(h2, m.w2, h1, nb, h1n)
+		relu(h2)
+		for b := 0; b < nb; b++ {
+			out[r0+b] = sigmoid(dotFrom(m.b3, m.w3, h2[b*h2n:(b+1)*h2n]))
+		}
 	}
 	m.scratch.Put(sc)
 }
 
-// PredictBatch returns error probabilities for many feature vectors,
-// reusing scratch buffers.
+// accumRows adds W·x into each of nb (1 or predictBlock) rows'
+// accumulators: acc holds nb accumulator rows, X holds nb input rows of
+// width in, and wt is W column-major.
+func accumRows(acc, wt, X []float64, nb, in int) {
+	if nb == predictBlock {
+		blockAccum(acc, wt, X, in)
+		return
+	}
+	colMajorAccum(acc, wt, X, in)
+}
+
+// blockAccum is colMajorAccum for two rows at once: acc holds two
+// accumulator rows of width n = len(acc)/2 and X two input rows of width
+// in. Both rows share each four-column weight slice, so every weight load
+// feeds two rows, while each accumulator still receives its products in
+// ascending column order — bit-identical to colMajorAccum row by row.
+func blockAccum(acc, wt, X []float64, in int) {
+	n := len(acc) / 2
+	a0 := acc[:n]
+	a1 := acc[n:][:n]
+	x0 := X[:in]
+	x1 := X[in:][:in]
+	c := 0
+	for ; c+4 <= in; c += 4 {
+		w0 := wt[(c+0)*n:][:n]
+		w1 := wt[(c+1)*n:][:n]
+		w2 := wt[(c+2)*n:][:n]
+		w3 := wt[(c+3)*n:][:n]
+		p00, p01, p02, p03 := x0[c], x0[c+1], x0[c+2], x0[c+3]
+		p10, p11, p12, p13 := x1[c], x1[c+1], x1[c+2], x1[c+3]
+		for r := range a0 {
+			u0, u1, u2, u3 := w0[r], w1[r], w2[r], w3[r]
+			a0[r] = a0[r] + u0*p00 + u1*p01 + u2*p02 + u3*p03
+			a1[r] = a1[r] + u0*p10 + u1*p11 + u2*p12 + u3*p13
+		}
+	}
+	for ; c < in; c++ {
+		w := wt[c*n:][:n]
+		v0, v1 := x0[c], x1[c]
+		for r, u := range w {
+			a0[r] += u * v0
+			a1[r] += u * v1
+		}
+	}
+}
+
+// relu clamps negative activations to zero in place.
+func relu(h []float64) {
+	for i, v := range h {
+		if v < 0 {
+			h[i] = 0
+		}
+	}
+}
+
+// PredictBatch returns error probabilities for many feature vectors.
 func (m *MLP) PredictBatch(X [][]float64) []float64 {
 	out := make([]float64, len(X))
-	sc := m.getScratch()
 	for i, x := range X {
-		out[i] = m.forward(x, sc.h1, sc.h2)
+		out[i] = m.Predict(x)
 	}
-	m.scratch.Put(sc)
 	return out
 }
 
