@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/baselines"
@@ -172,7 +173,7 @@ func ablationBench() *datasets.Bench { return datasets.Hospital(400, 9) }
 
 func runConfig(b *testing.B, cfg zeroed.Config, bench *datasets.Bench) float64 {
 	b.Helper()
-	res, err := zeroed.New(cfg).Detect(bench.Dirty)
+	res, err := zeroed.New(cfg).DetectOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func BenchmarkDetectSharded(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := zeroed.New(cfg).Detect(bench.Dirty); err != nil {
+				if _, err := zeroed.New(cfg).DetectOn(context.Background(), nil, bench.Dirty); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -261,7 +262,7 @@ func BenchmarkDetectBatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			det := zeroed.New(zeroed.Config{Seed: 1})
 			for _, d := range ds {
-				if _, err := det.Detect(d); err != nil {
+				if _, err := det.DetectOn(context.Background(), nil, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -270,23 +271,11 @@ func BenchmarkDetectBatch(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := zeroed.New(zeroed.Config{Seed: 1}).DetectBatch(ds); err != nil {
+			if _, err := zeroed.New(zeroed.Config{Seed: 1}).DetectBatch(context.Background(), ds); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkDetectShardsIndependent measures the independent-model sharding
-// mode (DetectShards): the full pipeline per row shard, merged verdicts.
-func BenchmarkDetectShardsIndependent(b *testing.B) {
-	bench := datasets.Tax(3000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := zeroed.New(zeroed.Config{Seed: 1}).DetectShards(bench.Dirty, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkZeroEDPipeline measures one end-to-end detection run, the
@@ -296,7 +285,7 @@ func BenchmarkZeroEDPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := zeroed.New(zeroed.Config{Seed: 3}).Detect(bench.Dirty); err != nil {
+		if _, err := zeroed.New(zeroed.Config{Seed: 3}).DetectOn(context.Background(), nil, bench.Dirty); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -311,7 +300,7 @@ func BenchmarkZeroEDPipelineDedupOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := zeroed.New(zeroed.Config{Seed: 3, DisableScoreDedup: true}).Detect(bench.Dirty); err != nil {
+		if _, err := zeroed.New(zeroed.Config{Seed: 3, DisableScoreDedup: true}).DetectOn(context.Background(), nil, bench.Dirty); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -104,11 +105,12 @@ func recordFitStages(stages []zeroed.StageTiming) {
 // sharded Tax scoring workload of the Fig. 7b/8b sweeps, plus the dedup
 // ablation so the cache's contribution stays visible.
 func benches() []bench {
+	ctx := context.Background()
 	detect := func(cfg zeroed.Config, gen func() *datasets.Bench) func() func() error {
 		return func() func() error {
 			b := gen()
 			return func() error {
-				_, err := zeroed.New(cfg).Detect(b.Dirty)
+				_, err := zeroed.New(cfg).DetectOn(ctx, nil, b.Dirty)
 				return err
 			}
 		}
@@ -129,7 +131,7 @@ func benches() []bench {
 			b := tax()
 			cfg := zeroed.Config{Seed: 1}
 			return func() error {
-				m, err := zeroed.New(cfg).Fit(b.Dirty)
+				m, err := zeroed.New(cfg).FitOn(ctx, nil, b.Dirty)
 				if err != nil {
 					return err
 				}
@@ -139,12 +141,12 @@ func benches() []bench {
 		}},
 		{benchScoreOnly, func() func() error {
 			b := tax()
-			m, err := zeroed.New(zeroed.Config{Seed: 1}).Fit(b.Dirty)
+			m, err := zeroed.New(zeroed.Config{Seed: 1}).FitOn(ctx, nil, b.Dirty)
 			if err != nil {
 				fatal(err)
 			}
 			return func() error {
-				_, err := m.Score(b.Dirty)
+				_, err := m.ScoreOn(ctx, nil, b.Dirty)
 				return err
 			}
 		}},

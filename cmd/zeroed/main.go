@@ -355,7 +355,7 @@ func run(ctx context.Context, o runOpts) error {
 					return fmt.Errorf("projecting -clean onto the model schema: %w", err)
 				}
 			}
-			res, err := m.ScoreContext(ctx, dirty)
+			res, err := m.ScoreOn(ctx, nil, dirty)
 			if err != nil {
 				return err
 			}
@@ -364,7 +364,7 @@ func run(ctx context.Context, o runOpts) error {
 				dirty.NumRows(), o.modelIn, m.FitRows(), m.Config().Seed, res.Runtime.Round(1e6))
 		case o.modelOut != "":
 			// Fit, persist the artifact, then score with the fitted model.
-			m, err := det.FitContext(ctx, dirty)
+			m, err := det.FitOn(ctx, nil, dirty)
 			if err != nil {
 				return err
 			}
@@ -379,7 +379,7 @@ func run(ctx context.Context, o runOpts) error {
 				info.SampledCells, info.TrainingCells, info.AugmentedErrs, info.CriteriaCount)
 			fmt.Printf("LLM usage: %d calls, %d input + %d output tokens; fit runtime %v\n",
 				info.Usage.Calls, info.Usage.InputTokens, info.Usage.OutputTokens, info.FitRuntime.Round(1e6))
-			res, err := m.ScoreContext(ctx, dirty)
+			res, err := m.ScoreOn(ctx, nil, dirty)
 			if err != nil {
 				return err
 			}
@@ -389,7 +389,7 @@ func run(ctx context.Context, o runOpts) error {
 					o.modelOut, fi.Size(), res.Runtime.Round(1e6))
 			}
 		default:
-			res, err := det.DetectContext(ctx, dirty)
+			res, err := det.DetectOn(ctx, nil, dirty)
 			if err != nil {
 				return err
 			}
@@ -682,7 +682,7 @@ func runBatch(ctx context.Context, o runOpts, profile llm.Profile) error {
 
 	cfg := o.zeroedConfig()
 	cfg.Profile = profile
-	results, err := zeroed.New(cfg).DetectBatchContext(ctx, ds)
+	results, err := zeroed.New(cfg).DetectBatch(ctx, ds)
 	if err != nil {
 		return err
 	}

@@ -15,10 +15,12 @@
 // scoring), cmd/experiments (paper tables and figures), cmd/datagen
 // (benchmark CSV export), and cmd/benchjson (scaling benchmarks as JSON).
 //
-// The pipeline itself is split across internal/zeroed (Fit: the expensive
-// induction/labeling/training phase, returning a reusable Model; Score:
-// the cheap featurize-and-infer phase, with Detect ≡ Fit+Score bit-for-
-// bit) and internal/model (versioned, checksummed binary artifacts whose
+// The pipeline itself is split across internal/zeroed (FitOn: the
+// expensive induction/labeling/training phase, returning a reusable Model;
+// ScoreOn/ScoreRowsOn: the cheap featurize-and-infer phase, with
+// DetectOn ≡ FitOn+ScoreOn bit-for-bit; one entry point per operation, each
+// taking a context and a shared worker Pool, nil for a private one) and
+// internal/model (versioned, checksummed binary artifacts whose
 // save→load→score round trip is bit-identical). Every path reachable from
 // untrusted input — CSV parsing, schema arity, degenerate dataset
 // shapes, non-finite training values, corrupt model artifacts — reports
@@ -32,8 +34,8 @@
 // guideline labeling are value-ID-deduplicated (criteria.SetMemo,
 // llm.JudgeMemo; Config.DisableFitDedup is the escape hatch, with
 // on≡off bit-identity pinned by TestFitDedupEquivalence), the MLP
-// trains over a flat feature tile (nn.TrainFlat, bit-identical to the
-// row-slice path), and the repo root carries a checked-in PGO profile
+// trains over a flat feature tile (nn.Train, with training bits pinned by
+// TestTrainGoldenBits), and the repo root carries a checked-in PGO profile
 // (default.pgo, regenerated by scripts/fitprofile.sh) that CI builds
 // against.
 //

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -68,7 +69,7 @@ func main() {
 		}
 	}
 
-	res, err := zeroed.New(zeroed.Config{Seed: 3, LabelRate: 0.08}).Detect(big)
+	res, err := zeroed.New(zeroed.Config{Seed: 3, LabelRate: 0.08}).DetectOn(context.Background(), nil, big)
 	if err != nil {
 		log.Fatal(err)
 	}

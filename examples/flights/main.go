@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 		bench.Dirty.NumRows(), bench.Dirty.NumCols(), 100*rate)
 
 	// ZeroED.
-	res, err := zeroed.New(zeroed.Config{Seed: 7}).Detect(bench.Dirty)
+	res, err := zeroed.New(zeroed.Config{Seed: 7}).DetectOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		log.Fatal(err)
 	}

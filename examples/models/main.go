@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	fmt.Printf("%-14s | %9s %9s %9s | %s\n", "model", "precision", "recall", "F1", "tokens")
 
 	for _, p := range llm.Profiles() {
-		res, err := zeroed.New(zeroed.Config{Seed: 17, Profile: p}).Detect(bench.Dirty)
+		res, err := zeroed.New(zeroed.Config{Seed: 17, Profile: p}).DetectOn(context.Background(), nil, bench.Dirty)
 		if err != nil {
 			log.Fatal(err)
 		}

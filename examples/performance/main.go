@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -26,11 +27,12 @@ func main() {
 	b := datasets.Hospital(*rows, 7)
 
 	// 1. End-to-end: dedup cache on (default) vs off. Same bits, less work.
-	on, err := zeroed.New(zeroed.Config{Seed: 7}).Detect(b.Dirty)
+	ctx := context.Background()
+	on, err := zeroed.New(zeroed.Config{Seed: 7}).DetectOn(ctx, nil, b.Dirty)
 	if err != nil {
 		log.Fatal(err)
 	}
-	off, err := zeroed.New(zeroed.Config{Seed: 7, DisableScoreDedup: true}).Detect(b.Dirty)
+	off, err := zeroed.New(zeroed.Config{Seed: 7, DisableScoreDedup: true}).DetectOn(ctx, nil, b.Dirty)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,9 +54,9 @@ func main() {
 	scores := make([]float64, m)
 
 	mlp := nn.New(dim, nn.Config{Epochs: 2, Seed: 1})
-	X := [][]float64{make([]float64, dim), make([]float64, dim)}
-	X[1][0] = 1
-	if _, err := mlp.Train(X, []float64{0, 1}); err != nil {
+	X := make([]float64, 2*dim) // two training rows, back to back
+	X[dim] = 1
+	if _, err := mlp.Train(ctx, X, 2, []float64{0, 1}); err != nil {
 		log.Fatal(err)
 	}
 

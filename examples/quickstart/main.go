@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	// Run ZeroED with paper defaults: 5%% LLM label rate, 2 correlated
 	// attributes, k-means sampling, the Qwen2.5-72b profile.
 	detector := zeroed.New(zeroed.Config{Seed: 42})
-	result, err := detector.Detect(bench.Dirty)
+	result, err := detector.DetectOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,7 +36,7 @@ func main() {
 	for _, n := range sizes {
 		b := datasets.Tax(n, 11)
 
-		res, err := zeroed.New(zeroed.Config{Seed: 11, LabelRate: 0.02}).Detect(b.Dirty)
+		res, err := zeroed.New(zeroed.Config{Seed: 11, LabelRate: 0.02}).DetectOn(context.Background(), nil, b.Dirty)
 		if err != nil {
 			log.Fatal(err)
 		}

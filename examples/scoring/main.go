@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,7 +24,8 @@ func main() {
 	fmt.Printf("Hospital: %d tuples x %d attributes\n", d.NumRows(), d.NumCols())
 
 	// Fit: the expensive phase, run exactly once.
-	m, err := zeroed.New(zeroed.Config{Seed: 9, LabelRate: 0.08}).Fit(d)
+	ctx := context.Background()
+	m, err := zeroed.New(zeroed.Config{Seed: 9, LabelRate: 0.08}).FitOn(ctx, nil, d)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,8 +47,8 @@ func main() {
 	fmt.Printf("artifact: %s (%d bytes)\n", path, fi.Size())
 
 	// Score the fitting data with the loaded model: identical verdicts to
-	// Detect, at a fraction of the cost.
-	res, err := loaded.Score(d)
+	// DetectOn, at a fraction of the cost.
+	res, err := loaded.ScoreOn(ctx, nil, d)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func main() {
 		d.Row(1),
 	}
 	fresh[1][0] = "a-provider-number-never-seen-before"
-	rres, err := loaded.ScoreRows(fresh)
+	rres, err := loaded.ScoreRowsOn(ctx, nil, fresh)
 	if err != nil {
 		log.Fatal(err)
 	}

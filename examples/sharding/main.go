@@ -1,12 +1,14 @@
 // Sharding: the parallel detection engine end to end — a chunked CSV load
-// with concurrent snapshot readers, then the same dataset detected three
-// ways (serial; parallel workers + scoring shards; independent row-shard
-// pipelines via DetectShards) to show which modes are bit-identical.
+// with concurrent snapshot readers, then the same dataset detected serially
+// and with parallel workers + scoring shards, to show the two are
+// bit-identical. (Several independent datasets share one worker budget
+// through Detector.DetectBatch.)
 //
 //	go run ./examples/sharding
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -63,21 +65,16 @@ func main() {
 			flagged, sum, res.Runtime.Round(1e6))
 	}
 
-	serial, err := zeroed.New(zeroed.Config{Seed: 3, Workers: 1, Shards: 1}).Detect(d)
+	ctx := context.Background()
+	serial, err := zeroed.New(zeroed.Config{Seed: 3, Workers: 1, Shards: 1}).DetectOn(ctx, nil, d)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("serial:           ", score(serial))
 
-	parallel, err := zeroed.New(zeroed.Config{Seed: 3, Workers: 8, Shards: 4}).Detect(d)
+	parallel, err := zeroed.New(zeroed.Config{Seed: 3, Workers: 8, Shards: 4}).DetectOn(ctx, nil, d)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("workers=8 shards=4:", score(parallel), "(bit-identical to serial)")
-
-	indep, err := zeroed.New(zeroed.Config{Seed: 3}).DetectShards(d, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("DetectShards(4):  ", score(indep), "(independent per-shard models)")
 }

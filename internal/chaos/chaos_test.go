@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -433,7 +434,7 @@ func TestFailpointCoverage(t *testing.T) {
 // surfaces as a corruption, not a plain error.
 func exerciseLoadDecode(t *testing.T) {
 	m, err := zeroed.New(zeroed.Config{LabelRate: 0.1, CorrK: 2, Seed: 1, Workers: 2}).
-		Fit(datasets.Hospital(30, 2).Dirty)
+		FitOn(context.Background(), nil, datasets.Hospital(30, 2).Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +468,7 @@ func exerciseJudgeTransient(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	before := faultpoint.Hits("llm.judge.transient")
 	_, err := zeroed.New(zeroed.Config{LabelRate: 0.1, CorrK: 2, Seed: 1, Workers: 2}).
-		Fit(datasets.Hospital(30, 2).Dirty)
+		FitOn(context.Background(), nil, datasets.Hospital(30, 2).Dirty)
 	if err != nil {
 		t.Fatalf("fit should survive transient judge faults: %v", err)
 	}

@@ -13,8 +13,6 @@
 // floating-point margin, and whenever a certificate cannot be established
 // the point falls back to an exact scan whose per-centroid distances are
 // bit-identical to sqDist (same loop order, same tie-breaking).
-//
-// The historical [][]float64 entry points remain as thin wrappers.
 package cluster
 
 import (
@@ -51,20 +49,6 @@ func sqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// flatten copies [][]float64 points into a flat row-major matrix.
-func flatten(points [][]float64) ([]float64, int, int) {
-	n := len(points)
-	if n == 0 {
-		return nil, 0, 0
-	}
-	dim := len(points[0])
-	data := make([]float64, n*dim)
-	for i, p := range points {
-		copy(data[i*dim:], p)
-	}
-	return data, n, dim
 }
 
 // clampK normalizes a requested cluster count against the point count.
@@ -486,12 +470,6 @@ func finishFlat(assign []int, centroids [][]float64) *Result {
 	return &Result{Assign: assign, Centroids: centroids, Members: members}
 }
 
-// KMeans is the [][]float64 wrapper around KMeansFlat.
-func KMeans(points [][]float64, k int, rng *rand.Rand, maxIter int) *Result {
-	data, n, dim := flatten(points)
-	return KMeansFlat(data, n, dim, k, rng, maxIter)
-}
-
 // CentroidSamplesFlat returns, for each non-empty cluster, the index of
 // the member nearest its centroid — ZeroED's representative sample q_cje —
 // over the flat points matrix the clustering was computed on. The result
@@ -512,12 +490,6 @@ func (r *Result) CentroidSamplesFlat(data []float64, dim int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// CentroidSamples is the [][]float64 wrapper around CentroidSamplesFlat.
-func (r *Result) CentroidSamples(points [][]float64) []int {
-	data, _, dim := flatten(points)
-	return r.CentroidSamplesFlat(data, dim)
 }
 
 // RandomSampleFlat clusters points trivially: it draws k distinct indices
@@ -546,12 +518,6 @@ func RandomSampleFlat(data []float64, n, dim, k int, rng *rand.Rand) *Result {
 		assign[i] = best
 	}
 	return finishFlat(assign, centroids)
-}
-
-// RandomSample is the [][]float64 wrapper around RandomSampleFlat.
-func RandomSample(points [][]float64, k int, rng *rand.Rand) *Result {
-	data, n, dim := flatten(points)
-	return RandomSampleFlat(data, n, dim, k, rng)
 }
 
 // AgglomerativeFlat performs average-linkage hierarchical clustering down
@@ -644,10 +610,4 @@ func AgglomerativeFlat(data []float64, n, dim, k int, rng *rand.Rand, maxLeaves 
 		c++
 	}
 	return finishFlat(assign, centroids)
-}
-
-// Agglomerative is the [][]float64 wrapper around AgglomerativeFlat.
-func Agglomerative(points [][]float64, k int, rng *rand.Rand, maxLeaves int) *Result {
-	data, n, dim := flatten(points)
-	return AgglomerativeFlat(data, n, dim, k, rng, maxLeaves)
 }

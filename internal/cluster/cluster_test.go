@@ -23,6 +23,37 @@ func threeBlobs(rng *rand.Rand, per int) ([][]float64, []int) {
 	return pts, truth
 }
 
+// flatten packs nested points into the flat row-major matrix the *Flat
+// entry points consume, returning it with its point count and width.
+func flatten(points [][]float64) ([]float64, int, int) {
+	if len(points) == 0 {
+		return nil, 0, 0
+	}
+	dim := len(points[0])
+	data := make([]float64, 0, len(points)*dim)
+	for _, p := range points {
+		data = append(data, p...)
+	}
+	return data, len(points), dim
+}
+
+// kmeans, agglomerative and randomSample run the flat entry points on
+// nested points.
+func kmeans(points [][]float64, k int, rng *rand.Rand, maxIter int) *Result {
+	data, n, dim := flatten(points)
+	return KMeansFlat(data, n, dim, k, rng, maxIter)
+}
+
+func agglomerative(points [][]float64, k int, rng *rand.Rand, maxLeaves int) *Result {
+	data, n, dim := flatten(points)
+	return AgglomerativeFlat(data, n, dim, k, rng, maxLeaves)
+}
+
+func randomSample(points [][]float64, k int, rng *rand.Rand) *Result {
+	data, n, dim := flatten(points)
+	return RandomSampleFlat(data, n, dim, k, rng)
+}
+
 // purity measures how well clusters align with the ground-truth blobs.
 func purity(assign, truth []int, k int) float64 {
 	counts := make(map[[2]int]int)
@@ -45,7 +76,7 @@ func purity(assign, truth []int, k int) float64 {
 func TestKMeansRecoversBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts, truth := threeBlobs(rng, 40)
-	res := KMeans(pts, 3, rng, 50)
+	res := kmeans(pts, 3, rng, 50)
 	if p := purity(res.Assign, truth, 3); p < 0.99 {
 		t.Errorf("k-means purity = %v, want >= 0.99", p)
 	}
@@ -57,7 +88,7 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 func TestAgglomerativeRecoversBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pts, truth := threeBlobs(rng, 40)
-	res := Agglomerative(pts, 3, rng, 60)
+	res := agglomerative(pts, 3, rng, 60)
 	if p := purity(res.Assign, truth, 3); p < 0.99 {
 		t.Errorf("agglomerative purity = %v, want >= 0.99", p)
 	}
@@ -66,7 +97,7 @@ func TestAgglomerativeRecoversBlobs(t *testing.T) {
 func TestAgglomerativeLargeInputReduces(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts, _ := threeBlobs(rng, 100) // 300 points > maxLeaves
-	res := Agglomerative(pts, 3, rng, 50)
+	res := agglomerative(pts, 3, rng, 50)
 	if got := len(res.Centroids); got != 3 {
 		t.Errorf("clusters = %d, want 3", got)
 	}
@@ -78,7 +109,7 @@ func TestAgglomerativeLargeInputReduces(t *testing.T) {
 func TestRandomSampleShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts, _ := threeBlobs(rng, 10)
-	res := RandomSample(pts, 5, rng)
+	res := randomSample(pts, 5, rng)
 	if len(res.Centroids) != 5 {
 		t.Errorf("centroids = %d, want 5", len(res.Centroids))
 	}
@@ -92,8 +123,9 @@ func TestRandomSampleShape(t *testing.T) {
 func TestCentroidSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts, _ := threeBlobs(rng, 20)
-	res := KMeans(pts, 3, rng, 50)
-	samples := res.CentroidSamples(pts)
+	data, n, dim := flatten(pts)
+	res := KMeansFlat(data, n, dim, 3, rng, 50)
+	samples := res.CentroidSamplesFlat(data, dim)
 	if len(samples) != 3 {
 		t.Fatalf("samples = %d, want 3", len(samples))
 	}
@@ -117,23 +149,23 @@ func TestCentroidSamples(t *testing.T) {
 
 func TestKMeansEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	if res := KMeans(nil, 3, rng, 10); len(res.Assign) != 0 {
+	if res := kmeans(nil, 3, rng, 10); len(res.Assign) != 0 {
 		t.Error("empty input should produce empty result")
 	}
 	// k > n clamps.
 	pts := [][]float64{{1}, {2}}
-	res := KMeans(pts, 10, rng, 10)
+	res := kmeans(pts, 10, rng, 10)
 	if len(res.Centroids) != 2 {
 		t.Errorf("k clamp: centroids = %d, want 2", len(res.Centroids))
 	}
 	// All-identical points.
 	same := [][]float64{{5, 5}, {5, 5}, {5, 5}, {5, 5}}
-	res = KMeans(same, 2, rng, 10)
+	res = kmeans(same, 2, rng, 10)
 	if len(res.Assign) != 4 {
 		t.Error("identical points must still be assigned")
 	}
 	// k <= 0 becomes 1.
-	res = KMeans(pts, 0, rng, 10)
+	res = kmeans(pts, 0, rng, 10)
 	if len(res.Centroids) != 1 {
 		t.Errorf("k=0 should clamp to 1, got %d", len(res.Centroids))
 	}
@@ -141,8 +173,8 @@ func TestKMeansEdgeCases(t *testing.T) {
 
 func TestKMeansDeterministicWithSeed(t *testing.T) {
 	pts, _ := threeBlobs(rand.New(rand.NewSource(7)), 30)
-	a := KMeans(pts, 3, rand.New(rand.NewSource(42)), 50)
-	b := KMeans(pts, 3, rand.New(rand.NewSource(42)), 50)
+	a := kmeans(pts, 3, rand.New(rand.NewSource(42)), 50)
+	b := kmeans(pts, 3, rand.New(rand.NewSource(42)), 50)
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("same seed must give same clustering")
@@ -157,7 +189,7 @@ func TestKMeansInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		pts, _ := threeBlobs(rng, 15)
 		k := int(kRaw)%6 + 1
-		res := KMeans(pts, k, rng, 20)
+		res := kmeans(pts, k, rng, 20)
 		if len(res.Assign) != len(pts) {
 			return false
 		}
@@ -248,48 +280,6 @@ func TestKMeansPrunedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestFlatWrappersAgree pins the [][]float64 wrappers to the flat core.
-func TestFlatWrappersAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	pts, _ := threeBlobs(rng, 30)
-	dim := 2
-	data := make([]float64, len(pts)*dim)
-	for i, p := range pts {
-		copy(data[i*dim:], p)
-	}
-	a := KMeans(pts, 4, rand.New(rand.NewSource(5)), 20)
-	b := KMeansFlat(data, len(pts), dim, 4, rand.New(rand.NewSource(5)), 20)
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			t.Fatal("KMeans wrapper and KMeansFlat disagree")
-		}
-	}
-	sa := a.CentroidSamples(pts)
-	sb := b.CentroidSamplesFlat(data, dim)
-	if len(sa) != len(sb) {
-		t.Fatalf("centroid sample counts differ: %d vs %d", len(sa), len(sb))
-	}
-	for i := range sa {
-		if sa[i] != sb[i] {
-			t.Fatal("CentroidSamples wrapper and flat form disagree")
-		}
-	}
-	ra := RandomSample(pts, 6, rand.New(rand.NewSource(6)))
-	rb := RandomSampleFlat(data, len(pts), dim, 6, rand.New(rand.NewSource(6)))
-	for i := range ra.Assign {
-		if ra.Assign[i] != rb.Assign[i] {
-			t.Fatal("RandomSample wrapper and flat form disagree")
-		}
-	}
-	ga := Agglomerative(pts, 3, rand.New(rand.NewSource(7)), 40)
-	gb := AgglomerativeFlat(data, len(pts), dim, 3, rand.New(rand.NewSource(7)), 40)
-	for i := range ga.Assign {
-		if ga.Assign[i] != gb.Assign[i] {
-			t.Fatal("Agglomerative wrapper and flat form disagree")
-		}
-	}
-}
-
 func BenchmarkKMeansFlat(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	data := flatBlobs(rng, 1500, 32, 8)
@@ -307,15 +297,5 @@ func BenchmarkKMeansNaiveFlat(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		kmeansNaiveFlat(data, 1500, 32, 20, rand.New(rand.NewSource(1)), 25)
-	}
-}
-
-func BenchmarkKMeans(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts, _ := threeBlobs(rng, 500)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		KMeans(pts, 20, rand.New(rand.NewSource(1)), 25)
 	}
 }

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -95,7 +96,7 @@ func (o Options) zeroedConfig() zeroed.Config {
 
 // runZeroED executes ZeroED with the given config and scores it.
 func runZeroED(b *datasets.Bench, cfg zeroed.Config) (eval.Metrics, *zeroed.Result, error) {
-	res, err := zeroed.New(cfg).Detect(b.Dirty)
+	res, err := zeroed.New(cfg).DetectOn(context.TODO(), nil, b.Dirty)
 	if err != nil {
 		return eval.Metrics{}, nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
@@ -155,7 +156,7 @@ func taxSweep(o Options, sizes []int) (func(idx int) (*datasets.Bench, *zeroed.R
 			benches[i] = datasets.Tax(n, o.Seed)
 			ds[i] = benches[i].Dirty
 		}
-		results, err := zeroed.New(o.zeroedConfig()).DetectBatch(ds)
+		results, err := zeroed.New(o.zeroedConfig()).DetectBatch(context.TODO(), ds)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datasets"
@@ -21,7 +22,7 @@ func FuzzLoadModel(f *testing.F) {
 	m, err := zeroed.New(zeroed.Config{
 		LabelRate: 0.1, EmbedDim: 8, Seed: 3, Workers: 1,
 		MLP: nn.Config{Hidden1: 8, Hidden2: 4, Epochs: 2, Seed: 1},
-	}).Fit(bench.Dirty)
+	}).FitOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func FuzzLoadModel(f *testing.F) {
 			row[j] = "fuzz"
 		}
 		decoded.SetParallelism(1, 1)
-		if _, err := decoded.ScoreRows([][]string{row}); err != nil {
+		if _, err := decoded.ScoreRowsOn(context.Background(), nil, [][]string{row}); err != nil {
 			t.Logf("scoring decoded artifact: %v", err)
 		}
 	})

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"hash/crc32"
 	"math"
 	"strings"
@@ -59,11 +60,11 @@ func TestDecodeVersion1Artifact(t *testing.T) {
 	if l := old.Lineage(); l.Version != 1 || l.RefitRows != 0 {
 		t.Fatalf("version-1 lineage = %+v, want {1 0}", l)
 	}
-	want, err := m.Score(bench.Dirty)
+	want, err := m.ScoreOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := old.Score(bench.Dirty)
+	got, err := old.ScoreOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}

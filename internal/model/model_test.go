@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"os"
@@ -30,7 +31,7 @@ func fitSmall(t testing.TB) (*zeroed.Model, *datasets.Bench) {
 		fitOnce.bench = datasets.Hospital(200, 7)
 		fitOnce.m, fitOnce.err = zeroed.New(zeroed.Config{
 			LabelRate: 0.08, EmbedDim: 16, Seed: 7, Workers: 2,
-		}).Fit(fitOnce.bench.Dirty)
+		}).FitOn(context.Background(), nil, fitOnce.bench.Dirty)
 	})
 	if fitOnce.err != nil {
 		t.Fatal(fitOnce.err)
@@ -57,11 +58,11 @@ func assertSameScores(t *testing.T, name string, a, b *zeroed.Result) {
 }
 
 // TestSaveLoadScoreBitIdentical is the artifact half of the acceptance
-// contract: save -> load -> Score is bit-identical (verdicts and float64
-// score bits) to the in-memory Score, for Workers∈{1,8}.
+// contract: save -> load -> ScoreOn is bit-identical (verdicts and float64
+// score bits) to the in-memory ScoreOn, for Workers∈{1,8}.
 func TestSaveLoadScoreBitIdentical(t *testing.T) {
 	m, bench := fitSmall(t)
-	want, err := m.Score(bench.Dirty)
+	want, err := m.ScoreOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSaveLoadScoreBitIdentical(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		loaded.SetParallelism(workers, 0)
-		got, err := loaded.Score(bench.Dirty)
+		got, err := loaded.ScoreOn(context.Background(), nil, bench.Dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +92,11 @@ func TestSaveLoadScoreBitIdentical(t *testing.T) {
 	// both models too.
 	rows := [][]string{bench.Dirty.Row(0), bench.Dirty.Row(1)}
 	rows[1][0] = "never-interned-during-fit"
-	a, err := m.ScoreRows(rows)
+	a, err := m.ScoreRowsOn(context.Background(), nil, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.ScoreRows(rows)
+	b, err := loaded.ScoreRowsOn(context.Background(), nil, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,13 @@ func guardCfg() Config {
 }
 
 // TestTrainRejectsNonFiniteFeatures pins that NaN/Inf feature values are
-// rejected up front rather than poisoning the weights.
+// rejected rather than poisoning the weights.
 func TestTrainRejectsNonFiniteFeatures(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		m := New(3, guardCfg())
-		X := [][]float64{{1, 2, 3}, {4, bad, 6}}
+		X := []float64{1, 2, 3, 4, bad, 6}
 		y := []float64{0, 1}
-		if _, err := m.Train(X, y); err == nil {
+		if _, err := m.Train(context.Background(), X, 2, y); err == nil {
 			t.Errorf("Train with feature %v must error", bad)
 		} else if !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("error %q should name the non-finite input", err)
@@ -33,8 +33,11 @@ func TestTrainRejectsNonFiniteFeatures(t *testing.T) {
 // TestTrainRejectsNonFiniteLabels mirrors the feature guard on y.
 func TestTrainRejectsNonFiniteLabels(t *testing.T) {
 	m := New(2, guardCfg())
-	if _, err := m.Train([][]float64{{1, 2}, {3, 4}}, []float64{0, math.NaN()}); err == nil {
+	if _, err := m.Train(context.Background(), []float64{1, 2, 3, 4}, 2, []float64{0, math.NaN()}); err == nil {
 		t.Fatal("Train with a NaN label must error")
+	}
+	if m.Trained() {
+		t.Error("failed Train must not mark the model trained")
 	}
 }
 
@@ -46,9 +49,9 @@ func TestTrainAbortsOnDivergedLoss(t *testing.T) {
 	cfg.LR = 1e300 // guarantees overflow within an epoch or two
 	cfg.Epochs = 50
 	m := New(2, cfg)
-	X := [][]float64{{1e8, -1e8}, {-1e8, 1e8}, {1e8, 1e8}, {-1e8, -1e8}}
+	X := []float64{1e8, -1e8, -1e8, 1e8, 1e8, 1e8, -1e8, -1e8}
 	y := []float64{0, 1, 0, 1}
-	_, err := m.Train(X, y)
+	_, err := m.Train(context.Background(), X, 4, y)
 	if err == nil {
 		t.Skip("this configuration converged finitely; guard not exercised")
 	}
@@ -60,13 +63,17 @@ func TestTrainAbortsOnDivergedLoss(t *testing.T) {
 	}
 }
 
-// TestTrainContextCanceled pins per-epoch cancellation.
+// TestTrainContextCanceled pins per-epoch cancellation: a pre-canceled
+// context aborts before the first epoch.
 func TestTrainContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := New(2, guardCfg())
-	_, err := m.TrainContext(ctx, [][]float64{{1, 2}, {3, 4}}, []float64{0, 1})
+	_, err := m.Train(ctx, []float64{1, 2, 3, 4}, 2, []float64{0, 1})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("TrainContext with canceled ctx = %v, want context.Canceled", err)
+		t.Fatalf("Train with canceled ctx = %v, want context.Canceled", err)
+	}
+	if m.Trained() {
+		t.Error("canceled Train must not mark the model trained")
 	}
 }

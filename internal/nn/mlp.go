@@ -12,10 +12,10 @@
 // and every accumulator still receives b[r] + w[r][0]*x[0] + w[r][1]*x[1] +
 // ... in ascending column order, so results are bit-identical to a naive
 // row-major dot product. Snapshot and FromSnapshot convert to and from
-// row-major at the artifact boundary. Inference (Predict / PredictBatch /
-// PredictInto) is allocation-free in steady state, drawing activation
-// scratch from an internal pool so that many goroutines can score against
-// one fitted model concurrently.
+// row-major at the artifact boundary. Inference (Predict / PredictInto) is
+// allocation-free in steady state, drawing activation scratch from an
+// internal pool so that many goroutines can score against one fitted model
+// concurrently.
 package nn
 
 import (
@@ -176,53 +176,23 @@ func (a *adamState) step(params, grads []float64, lr float64) {
 	}
 }
 
-// Train fits the MLP on features X and binary labels y (1 = error). It
-// returns the final epoch's mean cross-entropy loss. Adam updates apply
-// directly to the flat weight buffers.
-func (m *MLP) Train(X [][]float64, y []float64) (float64, error) {
-	return m.TrainContext(context.Background(), X, y)
-}
-
-// TrainContext is Train with cooperative cancellation: the context is
-// checked once per epoch, and a canceled context aborts training with the
-// context's error. Inputs are validated up front — a non-finite feature or
-// label value is rejected before it can poison the weights, and a
-// non-finite epoch loss (divergence, however caused) aborts with an error
-// rather than training onward through NaNs.
-func (m *MLP) TrainContext(ctx context.Context, X [][]float64, y []float64) (float64, error) {
-	if len(X) == 0 {
-		return 0, fmt.Errorf("nn: empty training set")
-	}
-	if len(X) != len(y) {
-		return 0, fmt.Errorf("nn: %d samples but %d labels", len(X), len(y))
-	}
-	for i, x := range X {
-		if len(x) != m.in {
-			return 0, fmt.Errorf("nn: sample %d has dim %d, want %d", i, len(x), m.in)
-		}
-		if err := validateSample(x, y[i], i); err != nil {
-			return 0, err
-		}
-	}
-	return m.train(ctx, func(i int) []float64 { return X[i] }, len(X), y, false)
-}
-
-// TrainFlat fits the MLP on a flat row-major feature tile: X holds nRows
-// vectors of the model's input dimension back to back — the layout
-// feature.FeaturesInto and the engine's training-matrix stage produce — so
-// training consumes the tile directly with no per-row slice headers. The
-// produced weights are bit-identical to TrainContext on the equivalent
-// nested matrix (same seed, same shuffle stream, same per-element arithmetic
-// order); sample validation is fused into the first epoch's pass instead of
-// running as a separate O(n·dim) sweep. A non-finite sample still aborts
-// training with an error (the partially updated weights are discarded by
-// every caller along with the error).
-func (m *MLP) TrainFlat(X []float64, nRows int, y []float64) (float64, error) {
-	return m.TrainFlatContext(context.Background(), X, nRows, y)
-}
-
-// TrainFlatContext is TrainFlat with cooperative per-epoch cancellation.
-func (m *MLP) TrainFlatContext(ctx context.Context, X []float64, nRows int, y []float64) (float64, error) {
+// Train fits the MLP on a flat row-major feature tile and binary labels y
+// (1 = error): X holds nRows vectors of the model's input dimension back
+// to back — the layout feature.FeaturesInto and the engine's
+// training-matrix stage produce — so training consumes the tile directly
+// with no per-row slice headers. It returns the final epoch's mean
+// cross-entropy loss. Adam updates apply directly to the flat weight
+// buffers.
+//
+// The context is checked once per epoch; a canceled context aborts training
+// with the context's error. Sample validation is fused into the first
+// epoch's pass instead of running as a separate O(n·dim) sweep: a
+// non-finite feature or label aborts training with an error, as does a
+// non-finite epoch loss (divergence, however caused), rather than training
+// onward through NaNs. A failed Train never marks the model trained; its
+// partially updated weights are discarded by every caller along with the
+// error.
+func (m *MLP) Train(ctx context.Context, X []float64, nRows int, y []float64) (float64, error) {
 	if nRows <= 0 {
 		return 0, fmt.Errorf("nn: empty training set")
 	}
@@ -233,8 +203,7 @@ func (m *MLP) TrainFlatContext(ctx context.Context, X []float64, nRows int, y []
 	if nRows != len(y) {
 		return 0, fmt.Errorf("nn: %d samples but %d labels", nRows, len(y))
 	}
-	in := m.in
-	return m.train(ctx, func(i int) []float64 { return X[i*in : (i+1)*in] }, nRows, y, true)
+	return m.train(ctx, X, nRows, y)
 }
 
 // validateSample rejects non-finite features or labels before they can
@@ -251,13 +220,12 @@ func validateSample(x []float64, label float64, i int) error {
 	return nil
 }
 
-// train is the shared Adam/BCE training loop behind TrainContext and
-// TrainFlat: at(i) yields sample i's feature vector (a nested row or a flat
-// tile window — both views see identical float64 sequences, which is why the
-// two entry points produce bit-identical weights). When fusedValidate is
-// set, sample validation happens on first use inside epoch 0 rather than as
-// an up-front sweep.
-func (m *MLP) train(ctx context.Context, at func(int) []float64, n int, y []float64, fusedValidate bool) (float64, error) {
+// train is the Adam/BCE training loop behind Train, over the shape-checked
+// flat tile X of n samples. Sample validation happens on first use inside
+// epoch 0 rather than as an up-front sweep. It stays a separate function
+// because default.pgo keys its hot call sites by this function's name and
+// their line offsets within it.
+func (m *MLP) train(ctx context.Context, X []float64, n int, y []float64) (float64, error) {
 	h1n, h2n := m.cfg.Hidden1, m.cfg.Hidden2
 	in := m.in
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 7))
@@ -328,8 +296,8 @@ func (m *MLP) train(ctx context.Context, at func(int) []float64, n int, y []floa
 			gradB3[0] = 0
 
 			for _, i := range idx[start:end] {
-				x := at(i)
-				if fusedValidate && epoch == 0 {
+				x := X[i*in : (i+1)*in]
+				if epoch == 0 {
 					if err := validateSample(x, y[i], i); err != nil {
 						return 0, err
 					}
@@ -629,15 +597,6 @@ func relu(h []float64) {
 			h[i] = 0
 		}
 	}
-}
-
-// PredictBatch returns error probabilities for many feature vectors.
-func (m *MLP) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = m.Predict(x)
-	}
-	return out
 }
 
 func (m *MLP) getScratch() *fwdScratch { return m.scratch.Get().(*fwdScratch) }

@@ -1,11 +1,22 @@
 package nn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 )
+
+// trainRows trains m on nested sample rows, packed into the flat
+// row-major tile Train consumes.
+func trainRows(m *MLP, X [][]float64, y []float64) (float64, error) {
+	var tile []float64
+	for _, x := range X {
+		tile = append(tile, x...)
+	}
+	return m.Train(context.Background(), tile, len(X), y)
+}
 
 // xorData builds the classic non-linearly-separable XOR problem with noise,
 // which a linear model cannot solve — proving the hidden layers work.
@@ -29,7 +40,7 @@ func TestLearnsXOR(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 120
 	m := New(2, cfg)
-	loss, err := m.Train(X, y)
+	loss, err := trainRows(m, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +62,13 @@ func TestLearnsXOR(t *testing.T) {
 
 func TestTrainValidation(t *testing.T) {
 	m := New(3, DefaultConfig())
-	if _, err := m.Train(nil, nil); err == nil {
+	if _, err := trainRows(m, nil, nil); err == nil {
 		t.Error("empty training set must error")
 	}
-	if _, err := m.Train([][]float64{{1, 2, 3}}, []float64{1, 0}); err == nil {
+	if _, err := trainRows(m, [][]float64{{1, 2, 3}}, []float64{1, 0}); err == nil {
 		t.Error("label/sample mismatch must error")
 	}
-	if _, err := m.Train([][]float64{{1, 2}}, []float64{1}); err == nil {
+	if _, err := trainRows(m, [][]float64{{1, 2}}, []float64{1}); err == nil {
 		t.Error("dimension mismatch must error")
 	}
 	if m.Trained() {
@@ -72,8 +83,8 @@ func TestDeterministicTraining(t *testing.T) {
 	cfg.Epochs = 10
 	a := New(2, cfg)
 	b := New(2, cfg)
-	la, _ := a.Train(X, y)
-	lb, _ := b.Train(X, y)
+	la, _ := trainRows(a, X, y)
+	lb, _ := trainRows(b, X, y)
 	if la != lb {
 		t.Errorf("same seed must give identical loss: %v vs %v", la, lb)
 	}
@@ -83,30 +94,13 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	X, y := xorData(rng, 100)
-	cfg := DefaultConfig()
-	cfg.Epochs = 5
-	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
-		t.Fatal(err)
-	}
-	batch := m.PredictBatch(X[:10])
-	for i := 0; i < 10; i++ {
-		if math.Abs(batch[i]-m.Predict(X[i])) > 1e-12 {
-			t.Fatal("PredictBatch must match Predict")
-		}
-	}
-}
-
 func TestProbabilitiesInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	X, y := xorData(rng, 50)
 	cfg := DefaultConfig()
 	cfg.Epochs = 3
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range X {
@@ -133,7 +127,7 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	m := New(4, Config{}) // all zero: every default should kick in
 	X := [][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}}
 	y := []float64{0, 1}
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Trained() {
@@ -149,7 +143,7 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 5
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	n := 32
@@ -179,7 +173,7 @@ func TestPredictZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 3
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	x := X[0]
@@ -204,7 +198,7 @@ func TestPredictConcurrentSafe(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 3
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]float64, len(X))
@@ -243,7 +237,7 @@ func BenchmarkTrainSmall(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := New(2, cfg)
-		if _, err := m.Train(X, y); err != nil {
+		if _, err := trainRows(m, X, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +249,7 @@ func BenchmarkPredict(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 3
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -291,7 +285,7 @@ func TestGradientNumerically(t *testing.T) {
 	// gradient is non-negligible).
 	trained := New(2, cfg)
 	before := trained.w1[0]
-	if _, err := trained.Train(X, y); err != nil {
+	if _, err := trainRows(trained, X, y); err != nil {
 		t.Fatal(err)
 	}
 	after := trained.w1[0]
@@ -311,9 +305,9 @@ func TestLossDecreasesOverEpochs(t *testing.T) {
 	long := short
 	long.Epochs = 60
 	a := New(2, short)
-	la, _ := a.Train(X, y)
+	la, _ := trainRows(a, X, y)
 	b := New(2, long)
-	lb, _ := b.Train(X, y)
+	lb, _ := trainRows(b, X, y)
 	if lb >= la {
 		t.Errorf("loss after 60 epochs (%v) should beat 2 epochs (%v)", lb, la)
 	}
@@ -337,7 +331,7 @@ func TestClassImbalanceStillLearns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 40
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	if p := m.Predict([]float64{1, 0}); p < 0.5 {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -39,8 +40,8 @@ func refForward(s *Snapshot, x []float64) float64 {
 // TestPredictIntoMatchesReference pins the row-blocked column-major
 // inference kernel to the naive row-major forward pass bit for bit, across
 // every block tail (nRows 1..2*predictBlock+1), an input width that is not
-// a multiple of four, odd hidden widths, and models produced by Train,
-// TrainFlat and FromSnapshot.
+// a multiple of four, odd hidden widths, and models produced by Train and
+// FromSnapshot.
 func TestPredictIntoMatchesReference(t *testing.T) {
 	shapes := []struct{ in, h1, h2 int }{
 		{17, 13, 7},
@@ -49,42 +50,35 @@ func TestPredictIntoMatchesReference(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		const n = 96
-		nested, y, flat := synthTrainingSet(n, sh.in, int64(sh.in))
+		flat, y := synthTrainingSet(n, sh.in, int64(sh.in))
+		row := func(i int) []float64 { return flat[i*sh.in : (i+1)*sh.in] }
 		cfg := Config{Hidden1: sh.h1, Hidden2: sh.h2, LR: 1e-2, Epochs: 3, BatchSize: 16, Seed: 5, L2: 1e-5}
 
 		viaTrain := New(sh.in, cfg)
-		if _, err := viaTrain.Train(nested, y); err != nil {
-			t.Fatal(err)
-		}
-		viaFlat := New(sh.in, cfg)
-		if _, err := viaFlat.TrainFlat(flat, n, y); err != nil {
+		if _, err := viaTrain.Train(context.Background(), flat, n, y); err != nil {
 			t.Fatal(err)
 		}
 		viaSnap, err := FromSnapshot(viaTrain.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, m := range map[string]*MLP{"Train": viaTrain, "TrainFlat": viaFlat, "FromSnapshot": viaSnap} {
+		for name, m := range map[string]*MLP{"Train": viaTrain, "FromSnapshot": viaSnap} {
 			snap := m.Snapshot()
 			for rows := 1; rows <= 2*predictBlock+1; rows++ {
 				out := make([]float64, rows)
 				m.PredictInto(flat[:rows*sh.in], rows, out)
 				for i := 0; i < rows; i++ {
-					want := refForward(snap, nested[i])
+					want := refForward(snap, row(i))
 					if math.Float64bits(out[i]) != math.Float64bits(want) {
 						t.Fatalf("%dx%dx%d %s nRows=%d row %d: PredictInto %v, reference %v",
 							sh.in, sh.h1, sh.h2, name, rows, i, out[i], want)
 					}
 				}
 			}
-			batch := m.PredictBatch(nested)
-			for i, x := range nested {
-				want := refForward(snap, x)
-				if p := m.Predict(x); math.Float64bits(p) != math.Float64bits(want) {
+			for i := 0; i < n; i++ {
+				want := refForward(snap, row(i))
+				if p := m.Predict(row(i)); math.Float64bits(p) != math.Float64bits(want) {
 					t.Fatalf("%dx%dx%d %s: Predict row %d = %v, reference %v", sh.in, sh.h1, sh.h2, name, i, p, want)
-				}
-				if math.Float64bits(batch[i]) != math.Float64bits(want) {
-					t.Fatalf("%dx%dx%d %s: PredictBatch row %d = %v, reference %v", sh.in, sh.h1, sh.h2, name, i, batch[i], want)
 				}
 			}
 		}
@@ -143,7 +137,7 @@ func TestFromSnapshotRejectsNonFinite(t *testing.T) {
 // units.
 func BenchmarkPredictInto(b *testing.B) {
 	const rows, in = 16, 150
-	_, _, tile := synthTrainingSet(rows, in, 1)
+	tile, _ := synthTrainingSet(rows, in, 1)
 	m := New(in, Config{Hidden1: 64, Hidden2: 32, Seed: 1})
 	out := make([]float64, rows)
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datasets"
@@ -143,7 +144,7 @@ func TestEmptyMaskNoFixes(t *testing.T) {
 // ground truth than the dirty one.
 func TestDetectThenRepair(t *testing.T) {
 	bench := datasets.Hospital(300, 21)
-	res, err := zeroed.New(zeroed.Config{Seed: 21, LabelRate: 0.08, EmbedDim: 16}).Detect(bench.Dirty)
+	res, err := zeroed.New(zeroed.Config{Seed: 21, LabelRate: 0.08, EmbedDim: 16}).DetectOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}

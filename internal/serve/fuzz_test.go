@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/nn"
@@ -11,7 +12,7 @@ import (
 
 // FuzzDetect drives arbitrary small CSV bytes through the full
 // request-reachable path — boundary ingestion (limits, arity validation)
-// followed by an end-to-end Detect — and asserts the service robustness
+// followed by an end-to-end DetectOn — and asserts the service robustness
 // contract: every input yields an error or a result, never a panic. The
 // engine configuration is shrunk (tiny MLP, one worker) so individual
 // executions stay fast; the code paths exercised are the same ones a real
@@ -38,7 +39,7 @@ func FuzzDetect(f *testing.F) {
 			MLP:      nn.Config{Hidden1: 4, Hidden2: 3, Epochs: 2, BatchSize: 8, Seed: 1},
 		}
 		// Error or result are both fine; a panic fails the fuzz run.
-		if _, err := zeroed.New(cfg).Detect(ds); err != nil {
+		if _, err := zeroed.New(cfg).DetectOn(context.Background(), nil, ds); err != nil {
 			t.Logf("detect error (acceptable): %v", err)
 		}
 	})

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -284,7 +285,7 @@ func TestRepairEndpointMatchesLocalPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Score(ref)
+	res, err := m.ScoreOn(context.Background(), nil, ref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -38,7 +39,7 @@ func postModelCSV(t *testing.T, url string, body []byte, want int, out any) *htt
 
 // TestModelFitScoreMatchesDetector pins the registry's core guarantee:
 // fitting a model over HTTP and scoring the same CSV against it returns
-// verdicts and float64 score bits identical to a direct Detect on the same
+// verdicts and float64 score bits identical to a direct DetectOn on the same
 // bytes — and the score call, which skips the fit phase entirely, reports a
 // runtime far below the fit's.
 func TestModelFitScoreMatchesDetector(t *testing.T) {
@@ -59,13 +60,13 @@ func TestModelFitScoreMatchesDetector(t *testing.T) {
 	postModelCSV(t, ts.URL+"/v1/models/"+st.ID+"/score", csv, http.StatusOK, &sr)
 
 	// The service ingests through the same CSV path, so compare against a
-	// Detect over a re-parsed dataset carrying the same name (the simulated
+	// DetectOn over a re-parsed dataset carrying the same name (the simulated
 	// LLM derives its streams from it, exactly like the CLI does).
 	ds, err := ingestCSV("hosp", bytes.NewReader(csv), ingestLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := zeroed.New(zeroed.Config{LabelRate: 0.05, CorrK: 2, Seed: 5, Workers: 2}).Detect(ds)
+	ref, err := zeroed.New(zeroed.Config{LabelRate: 0.05, CorrK: 2, Seed: 5, Workers: 2}).DetectOn(context.Background(), nil, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

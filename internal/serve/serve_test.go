@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -103,7 +104,7 @@ func getResult(t *testing.T, base, id string) JobResult {
 // TestServiceMatchesDetectorBitIdentical is the determinism e2e: for
 // Workers in {1, 8}, concurrent service jobs over the same upload must
 // return verdicts AND float64 score bits identical to a direct
-// Detector.Detect with the same seed — the same contract cmd/zeroed runs
+// Detector.DetectOn with the same seed — the same contract cmd/zeroed runs
 // under, so service == CLI.
 func TestServiceMatchesDetectorBitIdentical(t *testing.T) {
 	if testing.Short() {
@@ -123,7 +124,7 @@ func TestServiceMatchesDetectorBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := zeroed.New(zeroed.Config{Seed: seed, Workers: workers}).Detect(ref)
+			want, err := zeroed.New(zeroed.Config{Seed: seed, Workers: workers}).DetectOn(context.Background(), nil, ref)
 			if err != nil {
 				t.Fatal(err)
 			}

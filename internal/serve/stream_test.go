@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -541,7 +542,7 @@ func TestStreamHotSwapUnderLoad(t *testing.T) {
 				end++
 			}
 			m := loadVersion(o.lines[start].Version)
-			res, err := m.ScoreRows(rows[start:end])
+			res, err := m.ScoreRowsOn(context.Background(), nil, rows[start:end])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,14 +56,10 @@ func (c *csvSource) Next(max int) ([][]string, error) {
 	return rows, nil
 }
 
-// CSVStream is the CSV instantiation of Stream, kept as a named alias for
-// the many call sites that predate the format-agnostic ingest layer.
-type CSVStream = Stream
-
 // NewCSVStream starts a streaming CSV parse: it reads the header row
 // immediately and leaves the data rows for ReadChunk/ReadAll. The dataset
 // name is taken from the caller, not the file.
-func NewCSVStream(name string, r io.Reader) (*CSVStream, error) {
+func NewCSVStream(name string, r io.Reader) (*Stream, error) {
 	src, err := NewCSVSource(r)
 	if err != nil {
 		return nil, err
@@ -72,7 +68,7 @@ func NewCSVStream(name string, r io.Reader) (*CSVStream, error) {
 }
 
 // ReadCSV parses a dataset from CSV with a header row. It is the one-shot
-// form of CSVStream: chunked and whole-file loads produce identical
+// form of NewCSVStream: chunked and whole-file loads produce identical
 // datasets, including identical dictionary IDs.
 func ReadCSV(name string, r io.Reader) (*Dataset, error) {
 	return Read(name, FormatCSV, r)

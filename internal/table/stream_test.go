@@ -150,48 +150,6 @@ func TestStreamEdgeCases(t *testing.T) {
 	}
 }
 
-func TestCompactSubsetRows(t *testing.T) {
-	d := New("c", []string{"x", "y"})
-	for i := 0; i < 10; i++ {
-		d.MustAppendRow([]string{fmt.Sprintf("x%d", i%4), fmt.Sprintf("y%d", i)})
-	}
-	rows := []int{5, 6, 7, 5} // repeats allowed, order preserved
-	compact := d.CompactSubsetRows(rows)
-	loose := d.SubsetRows(rows)
-	if compact.NumRows() != len(rows) {
-		t.Fatalf("compact has %d rows, want %d", compact.NumRows(), len(rows))
-	}
-	for i := range rows {
-		for j := 0; j < d.NumCols(); j++ {
-			if compact.Value(i, j) != loose.Value(i, j) {
-				t.Fatalf("cell (%d,%d): compact %q vs subset %q", i, j, compact.Value(i, j), loose.Value(i, j))
-			}
-			// ID round-trip within the compact dataset.
-			if compact.DictValue(j, compact.ValueID(i, j)) != compact.Value(i, j) {
-				t.Fatalf("compact ID round-trip broken at (%d,%d)", i, j)
-			}
-		}
-	}
-	// The whole point: dictionaries hold only the shard's values.
-	if got, want := compact.DictSize(0), 3; got != want { // x1,x2,x3
-		t.Errorf("compact col 0 dict size %d, want %d", got, want)
-	}
-	if got, want := compact.DictSize(1), 3; got != want { // y5,y6,y7
-		t.Errorf("compact col 1 dict size %d, want %d", got, want)
-	}
-	if loose.DictSize(1) != d.DictSize(1) {
-		t.Error("SubsetRows should keep the full dict (ID stability)")
-	}
-	// Interning still works on the compact dataset.
-	if id, ok := compact.LookupID(1, "y6"); !ok || compact.DictValue(1, id) != "y6" {
-		t.Error("compact LookupID broken")
-	}
-	compact.SetValue(0, 0, "fresh")
-	if compact.Value(0, 0) != "fresh" || d.Value(5, 0) == "fresh" {
-		t.Error("compact dataset must be independent of the parent")
-	}
-}
-
 // TestSnapshotAndCloneDuringStreamingAppend loads a CSV chunk by chunk
 // while concurrent readers walk Snapshot views and a Clone taken mid-load.
 // Run under -race this pins the advertised concurrency contract: snapshots

@@ -366,39 +366,6 @@ func (d *Dataset) SubsetRows(rows []int) *Dataset {
 	return c
 }
 
-// CompactSubsetRows returns a new dataset containing exactly the given
-// rows, like SubsetRows, but with per-column dictionaries rebuilt to hold
-// only the values those rows actually reference. Value IDs are therefore
-// NOT comparable with the parent's — use SubsetRows when ID stability
-// matters. This is the right subset for independent processing of a row
-// shard (zeroed.DetectShards): per-value memo tables downstream stay
-// proportional to the shard's distinct values, not the whole dataset's.
-func (d *Dataset) CompactSubsetRows(rows []int) *Dataset {
-	c := &Dataset{Name: d.Name, Attrs: append([]string(nil), d.Attrs...), nrows: len(rows)}
-	c.cols = make([]column, len(d.cols))
-	for j := range d.cols {
-		src := &d.cols[j]
-		dst := &c.cols[j]
-		dst.ids = make([]uint32, len(rows))
-		dst.index = make(map[string]uint32)
-		// remap[srcID] is dstID+1; 0 marks a source value not yet seen.
-		remap := make([]uint32, len(src.dict))
-		for i, r := range rows {
-			sid := src.ids[r]
-			m := remap[sid]
-			if m == 0 {
-				v := src.dict[sid]
-				dst.dict = append(dst.dict, v)
-				m = uint32(len(dst.dict))
-				dst.index[v] = m - 1
-				remap[sid] = m
-			}
-			dst.ids[i] = m - 1
-		}
-	}
-	return c
-}
-
 // Row returns the i-th tuple as a freshly allocated value slice.
 func (d *Dataset) Row(i int) []string {
 	out := make([]string, len(d.Attrs))

@@ -3,7 +3,6 @@ package zeroed
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/table"
 )
@@ -12,25 +11,20 @@ import (
 // every stage of every run over one shared bounded worker pool of
 // Config.Workers workers. Each dataset is detected with the detector's own
 // (defaulted) configuration and seed, so DetectBatch(ds)[i] is bit-identical
-// to Detect(ds[i]) — batching changes scheduling, never results. Token
-// usage is accounted per dataset, as if each had its own client.
+// to DetectOn(ds[i]) — batching changes scheduling, never results. Token
+// usage is accounted per dataset, as if each had its own client. A
+// canceled context aborts every run of the batch.
 //
 // The entries of ds must be distinct datasets (not the same object twice):
 // synthetic-error featurization temporarily substitutes values in place,
 // so concurrent runs may not share a dataset. Clone to detect one dataset
 // under several slots.
-func (dt *Detector) DetectBatch(ds []*table.Dataset) ([]*Result, error) {
-	return dt.DetectBatchContext(context.Background(), ds)
-}
-
-// DetectBatchContext is DetectBatch with cooperative cancellation; a
-// canceled context aborts every run of the batch.
-func (dt *Detector) DetectBatchContext(ctx context.Context, ds []*table.Dataset) ([]*Result, error) {
-	pool := newWorkPool(dt.cfg.Workers)
+func (dt *Detector) DetectBatch(ctx context.Context, ds []*table.Dataset) ([]*Result, error) {
+	pool := NewPool(dt.cfg.Workers)
 	results := make([]*Result, len(ds))
 	errs := make([]error, len(ds))
 	pool.forN(len(ds), func(i int) {
-		results[i], errs[i] = dt.detect(ctx, ds[i], pool)
+		results[i], errs[i] = dt.DetectOn(ctx, pool, ds[i])
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -38,59 +32,4 @@ func (dt *Detector) DetectBatchContext(ctx context.Context, ds []*table.Dataset)
 		}
 	}
 	return results, nil
-}
-
-// DetectShards partitions the dataset into the given number of contiguous
-// row shards (via CompactSubsetRows), runs the full pipeline independently
-// on every shard concurrently over one shared pool, and merges the
-// per-cell verdicts, scores, and usage back into a single Result with the
-// original row indexing.
-//
-// This is the high-throughput mode for data that arrives in independent
-// chunks (a streaming CSV load, a partitioned table): each shard fits its
-// own criteria, labels, and detector from its own rows, and shard
-// dictionaries are compacted to the shard's own values, so clustering, LLM
-// labeling budget, and per-value memo tables all stay proportional to the
-// shard, not the dataset. It trades the
-// whole-dataset statistics away — unlike Config.Shards, which shares one
-// fitted model across scoring shards and is guaranteed bit-identical to an
-// unsharded run, DetectShards verdicts may differ from Detect's. For a
-// fixed shard count the merged result is still deterministic and
-// independent of worker count.
-func (dt *Detector) DetectShards(d *table.Dataset, shards int) (*Result, error) {
-	if shards > d.NumRows() {
-		shards = d.NumRows()
-	}
-	if shards <= 1 {
-		return dt.Detect(d)
-	}
-	start := time.Now()
-	ranges := shardRanges(d.NumRows(), shards)
-	parts := make([]*table.Dataset, len(ranges))
-	for s, r := range ranges {
-		rows := make([]int, 0, r.hi-r.lo)
-		for i := r.lo; i < r.hi; i++ {
-			rows = append(rows, i)
-		}
-		parts[s] = d.CompactSubsetRows(rows)
-	}
-	results, err := dt.DetectBatch(parts)
-	if err != nil {
-		return nil, err
-	}
-	merged := &Result{
-		Pred:   make([][]bool, 0, d.NumRows()),
-		Scores: make([][]float64, 0, d.NumRows()),
-	}
-	for _, r := range results {
-		merged.Pred = append(merged.Pred, r.Pred...)
-		merged.Scores = append(merged.Scores, r.Scores...)
-		merged.Usage.Add(r.Usage)
-		merged.SampledCells += r.SampledCells
-		merged.TrainingCells += r.TrainingCells
-		merged.AugmentedErrs += r.AugmentedErrs
-		merged.CriteriaCount += r.CriteriaCount
-	}
-	merged.Runtime = time.Since(start)
-	return merged, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/nn"
 	"repro/internal/table"
 )
@@ -55,7 +56,7 @@ func TestDetectDegenerateShapes(t *testing.T) {
 			if tc.cfg != nil {
 				cfg = tc.cfg(cfg)
 			}
-			res, err := New(cfg).Detect(mustCSV(t, tc.csv))
+			res, err := New(cfg).DetectOn(context.Background(), nil, mustCSV(t, tc.csv))
 			if err != nil {
 				t.Logf("clean error (acceptable): %v", err)
 				return
@@ -72,7 +73,7 @@ func TestDetectDegenerateShapes(t *testing.T) {
 func TestDetectContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := New(tinyCfg()).DetectContext(ctx, mustCSV(t, "a,b\n1,2\n3,4\n5,6\n"))
+	res, err := New(tinyCfg()).DetectOn(ctx, nil, mustCSV(t, "a,b\n1,2\n3,4\n5,6\n"))
 	if err == nil {
 		t.Fatal("canceled context must abort detection")
 	}
@@ -84,26 +85,49 @@ func TestDetectContextCanceled(t *testing.T) {
 	}
 }
 
-// TestDetectOnSharedPool pins that DetectOn over one shared pool is
-// bit-identical to Detect with its own pool, for two jobs sharing the pool.
+// TestDetectOnSharedPool pins the pool convention of the four *On calls:
+// a nil pool (a private pool of Config.Workers), NewPool(1) and NewPool(8)
+// give identical verdicts and score bits, and one shared pool serves
+// repeated jobs with the same output.
 func TestDetectOnSharedPool(t *testing.T) {
-	csv := "a,b\nx,1\ny,2\nx,3\nz,4\ny,5\nx,6\n"
-	want, err := New(tinyCfg()).Detect(mustCSV(t, csv))
-	if err != nil {
-		t.Fatal(err)
+	bench := datasets.Hospital(120, 4)
+	cfg := detConfig(2, 0)
+	cfg.MLP = nn.Config{Hidden1: 8, Hidden2: 4, Epochs: 3, Seed: 1}
+	rows := make([][]string, 20)
+	for i := range rows {
+		rows[i] = bench.Dirty.Row(i)
 	}
-	pool := NewPool(2)
-	for run := 0; run < 2; run++ {
-		got, err := New(tinyCfg()).DetectOn(context.Background(), pool, mustCSV(t, csv))
+	rows[1][0] = "a-value-never-seen-during-fit"
+	ctx := context.Background()
+	run := func(p *Pool) []*Result {
+		t.Helper()
+		detect, err := New(cfg).DetectOn(ctx, p, bench.Dirty.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want.Pred {
-			for j := range want.Pred[i] {
-				if got.Pred[i][j] != want.Pred[i][j] || got.Scores[i][j] != want.Scores[i][j] {
-					t.Fatalf("run %d: cell (%d,%d) differs between DetectOn and Detect", run, i, j)
-				}
-			}
+		m, err := New(cfg).FitOn(ctx, p, bench.Dirty.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		score, err := m.ScoreOn(ctx, p, bench.Dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scoreRows, err := m.ScoreRowsOn(ctx, p, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*Result{detect, score, scoreRows}
+	}
+	calls := []string{"DetectOn", "FitOn+ScoreOn", "FitOn+ScoreRowsOn"}
+	want := run(nil)
+	shared := NewPool(8)
+	for _, tc := range []struct {
+		name string
+		pool *Pool
+	}{{"pool1", NewPool(1)}, {"pool8", shared}, {"pool8-again", shared}} {
+		for i, got := range run(tc.pool) {
+			assertResultsIdentical(t, tc.name+" "+calls[i], want[i], got)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package zeroed
 // to 17 significant digits (float64 round-trip precision).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -80,12 +81,12 @@ func assertResultsIdentical(t *testing.T, name string, a, b *Result) {
 }
 
 // TestWorkerAndShardInvariance is the core determinism guarantee: seeded
-// Detect produces byte-identical results for Workers=1 vs Workers=8 and for
+// DetectOn produces byte-identical results for Workers=1 vs Workers=8 and for
 // Shards=1 vs Shards=4.
 func TestWorkerAndShardInvariance(t *testing.T) {
 	for _, bench := range detBenches() {
 		t.Run(bench.Name, func(t *testing.T) {
-			ref, err := New(detConfig(1, 1)).Detect(bench.Dirty)
+			ref, err := New(detConfig(1, 1)).DetectOn(context.Background(), nil, bench.Dirty)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +99,7 @@ func TestWorkerAndShardInvariance(t *testing.T) {
 				{"workers8/shards4", 8, 4},
 				{"workers3/shardsAuto", 3, 0},
 			} {
-				got, err := New(detConfig(tc.workers, tc.shards)).Detect(bench.Dirty)
+				got, err := New(detConfig(tc.workers, tc.shards)).DetectOn(context.Background(), nil, bench.Dirty)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,70 +112,28 @@ func TestWorkerAndShardInvariance(t *testing.T) {
 
 // TestDetectBatchMatchesDetect pins the batch guarantee: multiplexing
 // several datasets over one shared pool returns, per dataset, exactly what
-// an individual Detect returns.
+// an individual DetectOn returns.
 func TestDetectBatchMatchesDetect(t *testing.T) {
 	benches := detBenches()
 	ds := make([]*table.Dataset, len(benches))
 	for i, b := range benches {
-		// Clone: Detect runs feature substitution in place, so the batch
+		// Clone: DetectOn runs feature substitution in place, so the batch
 		// and individual runs must each own their copy to stay independent
 		// in this test's concurrent setting.
 		ds[i] = b.Dirty.Clone()
 	}
 	det := New(detConfig(4, 0))
-	batch, err := det.DetectBatch(ds)
+	batch, err := det.DetectBatch(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range benches {
-		solo, err := New(detConfig(2, 2)).Detect(b.Dirty)
+		solo, err := New(detConfig(2, 2)).DetectOn(context.Background(), nil, b.Dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertResultsIdentical(t, "batch:"+b.Name, solo, batch[i])
 	}
-}
-
-// TestDetectShardsDeterministic covers the independent-model sharding mode:
-// fixed shard count ⇒ identical merged results for any worker count, full
-// row coverage, and summed diagnostics.
-func TestDetectShardsDeterministic(t *testing.T) {
-	bench := datasets.Hospital(300, 7)
-	run := func(workers int) *Result {
-		res, err := New(detConfig(workers, 0)).DetectShards(bench.Dirty, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a := run(1)
-	b := run(8)
-	if len(a.Pred) != bench.Dirty.NumRows() {
-		t.Fatalf("merged mask has %d rows, want %d", len(a.Pred), bench.Dirty.NumRows())
-	}
-	for _, row := range a.Pred {
-		if len(row) != bench.Dirty.NumCols() {
-			t.Fatalf("merged mask row has %d cols, want %d", len(row), bench.Dirty.NumCols())
-		}
-	}
-	assertResultsIdentical(t, "shards4 workers1-vs-8", a, b)
-	if a.Usage.Calls == 0 || a.SampledCells == 0 {
-		t.Error("merged diagnostics missing")
-	}
-}
-
-// TestDetectShardsSingleEqualsDetect: one shard is exactly Detect.
-func TestDetectShardsSingleEqualsDetect(t *testing.T) {
-	bench := datasets.Hospital(180, 5)
-	full, err := New(detConfig(2, 0)).Detect(bench.Dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := New(detConfig(2, 0)).DetectShards(bench.Dirty, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsIdentical(t, "shards1", full, one)
 }
 
 // TestWorkersNormalizedOnce: the Workers default is applied in the single
@@ -218,7 +177,7 @@ func TestShardRangesPartition(t *testing.T) {
 // DetectBatch shape) and checks full coverage without deadlock even when
 // the budget is saturated.
 func TestPoolNestedForN(t *testing.T) {
-	pool := newWorkPool(3)
+	pool := NewPool(3)
 	outer, inner := 8, 64
 	hits := make([][]int32, outer)
 	for i := range hits {

@@ -47,7 +47,7 @@ func attrRng(seed int64, attr, phase int) *rand.Rand {
 type engine struct {
 	cfg    Config
 	ctx    context.Context
-	pool   *workPool
+	pool   *Pool
 	d      *table.Dataset
 	client *llm.Client
 	rng    *rand.Rand // engine-level stream: cluster-row sampling only
@@ -63,48 +63,34 @@ type engine struct {
 	synth           []syntheticCell
 }
 
-// Detect runs the full ZeroED pipeline on a dirty dataset and returns
-// per-cell error predictions. It never consults ground truth.
-func (dt *Detector) Detect(d *table.Dataset) (*Result, error) {
-	return dt.DetectContext(context.Background(), d)
-}
-
-// DetectContext is Detect with cooperative cancellation: the context is
-// checked between pipeline stages, between per-attribute and per-shard work
-// units, and per training epoch, so a canceled job releases its workers
-// promptly (within the current unit of work). A canceled run returns an
-// error wrapping the context's error; cancellation never produces a partial
-// Result.
-func (dt *Detector) DetectContext(ctx context.Context, d *table.Dataset) (*Result, error) {
-	return dt.detect(ctx, d, newWorkPool(dt.cfg.Workers))
-}
-
-// DetectOn runs detection on an externally owned shared pool (NewPool).
-// Serving layers use this to multiplex many concurrently admitted jobs over
-// one machine-wide worker budget: every job draws from the pool's tokens
-// instead of spawning its own workers. Results are bit-identical to Detect
-// for any pool size.
+// DetectOn runs the full ZeroED pipeline on a dirty dataset and returns
+// per-cell error predictions. It never consults ground truth. Every stage
+// draws its workers from p; a nil p means a private pool of
+// Config.Workers, and results are bit-identical for any pool. Serving
+// layers pass one machine-wide pool (NewPool) so that concurrently
+// admitted jobs share its worker budget instead of spawning their own.
+//
+// The context is checked between pipeline stages, between per-attribute
+// and per-shard work units, and per training epoch, so a canceled job
+// releases its workers promptly (within the current unit of work). A
+// canceled run returns an error wrapping the context's error; cancellation
+// never produces a partial Result.
+//
+// DetectOn is literally FitOn composed with scoring the same dataset, which
+// is what makes DetectOn(ds) ≡ ScoreOn(FitOn(ds), ds) hold bit-for-bit.
 func (dt *Detector) DetectOn(ctx context.Context, p *Pool, d *table.Dataset) (*Result, error) {
-	return dt.detect(ctx, d, p.wp)
-}
-
-// detect runs one full detection over an externally owned pool (shared
-// across the datasets of a DetectBatch, or across the jobs of a serving
-// process). It is literally Fit composed with Score — the pipeline fits a
-// model, then the model scores the same dataset — which is what makes the
-// contract Detect(ds) ≡ Score(Fit(ds), ds) hold bit-for-bit.
-func (dt *Detector) detect(ctx context.Context, d *table.Dataset, pool *workPool) (*Result, error) {
 	start := time.Now()
-	m, err := dt.fit(ctx, d, pool)
+	p = p.orNew(dt.cfg.Workers)
+	m, err := dt.FitOn(ctx, p, d)
 	if err != nil {
 		return nil, err
 	}
 	// The fit dataset needs no re-interning: the model's dictionaries ARE
 	// its pools, so every cell ID is already bound — score it directly
-	// instead of paying Score's O(cells) copy. Score(Fit(ds), ds) through
-	// the public API takes the copying path and lands on the same IDs,
-	// which is why the two are bit-identical.
-	res, err := m.scoreBound(ctx, pool, d)
+	// instead of paying ScoreOn's O(cells) copy. ScoreOn(FitOn(ds), ds)
+	// takes the copying path and lands on the same IDs, which is why the
+	// two are bit-identical.
+	res, err := m.scoreBound(ctx, p, d)
 	if err != nil {
 		return nil, err
 	}
@@ -117,10 +103,13 @@ func (dt *Detector) detect(ctx context.Context, d *table.Dataset, pool *workPool
 	return res, nil
 }
 
-// fit runs the expensive phase of the pipeline — criteria induction,
-// sampling, LLM labeling, training-data construction, and detector training
-// — and packages everything scoring needs into a reusable Model.
-func (dt *Detector) fit(ctx context.Context, d *table.Dataset, pool *workPool) (*Model, error) {
+// FitOn runs the expensive phase of the pipeline — criteria induction,
+// clustering-based sampling, LLM labeling, training-data construction, and
+// detector training — on pool p (nil: a private pool of Config.Workers),
+// and packages everything scoring needs into a reusable Model. FitOn never
+// scores the dataset; compose with ScoreOn, or use DetectOn for the
+// one-shot form. Cancellation checkpoints are DetectOn's.
+func (dt *Detector) FitOn(ctx context.Context, p *Pool, d *table.Dataset) (*Model, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -139,7 +128,7 @@ func (dt *Detector) fit(ctx context.Context, d *table.Dataset, pool *workPool) (
 	e := &engine{
 		cfg:    dt.cfg,
 		ctx:    ctx,
-		pool:   pool,
+		pool:   p.orNew(dt.cfg.Workers),
 		d:      d,
 		client: llm.NewClient(dt.cfg.Profile),
 		rng:    rand.New(rand.NewSource(dt.cfg.Seed)),
@@ -394,7 +383,7 @@ func (e *engine) stageSampleAndLabel() error {
 
 // stageTrainingMatrix materializes the flat feature tile for the verified
 // training cells plus the synthetic augmented errors — sample i occupies
-// flat[i*dim : (i+1)*dim], the layout nn.TrainFlat consumes directly. Real
+// flat[i*dim : (i+1)*dim], the layout nn.Train consumes directly. Real
 // cells are featurized in parallel (pure reads of the memo tables);
 // synthetic cells substitute values into the shared dataset in place, so
 // they run serially after the parallel pass.
@@ -428,7 +417,7 @@ func (e *engine) stageTrain(flatX []float64, n int, y []float64) (*nn.MLP, error
 		return nil, nil
 	}
 	mlp := nn.New(e.ext.Dim(), e.cfg.MLP)
-	if _, err := mlp.TrainFlatContext(e.ctx, flatX, n, y); err != nil {
+	if _, err := mlp.Train(e.ctx, flatX, n, y); err != nil {
 		return nil, fmt.Errorf("zeroed: training detector: %w", err)
 	}
 	return mlp, nil

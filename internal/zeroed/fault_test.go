@@ -6,6 +6,7 @@ package zeroed
 // chaos acceptance contract (see internal/faultpoint and internal/retry).
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestDetectBitIdenticalUnderTransientJudgeFaults(t *testing.T) {
 	bench := datasets.Hospital(180, 7)
 	cfg := detConfig(2, 1)
 
-	clean, err := New(cfg).Detect(bench.Dirty)
+	clean, err := New(cfg).DetectOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +30,9 @@ func TestDetectBitIdenticalUnderTransientJudgeFaults(t *testing.T) {
 	if err := faultpoint.Arm("llm.judge.transient", "error(3)"); err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := New(cfg).Detect(bench.Dirty)
+	faulted, err := New(cfg).DetectOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
-		t.Fatalf("Detect under transient faults: %v", err)
+		t.Fatalf("DetectOn under transient faults: %v", err)
 	}
 	if hits := faultpoint.Hits("llm.judge.transient"); hits != 3 {
 		t.Fatalf("judge failpoint injected %d faults, want 3 (fault path not exercised)", hits)
@@ -51,11 +52,11 @@ func TestFitFailsCleanlyWhenRetriesExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	bench := datasets.Hospital(120, 3)
-	_, err := New(detConfig(2, 1)).Fit(bench.Dirty)
+	_, err := New(detConfig(2, 1)).FitOn(context.Background(), nil, bench.Dirty)
 	if err == nil {
-		t.Fatal("Fit succeeded with the judge permanently failing")
+		t.Fatal("FitOn succeeded with the judge permanently failing")
 	}
 	if !strings.Contains(err.Error(), "labeling") {
-		t.Fatalf("Fit error %q does not name the labeling stage", err)
+		t.Fatalf("FitOn error %q does not name the labeling stage", err)
 	}
 }

@@ -1,6 +1,7 @@
 package zeroed
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/criteria"
@@ -26,11 +27,11 @@ func TestFitDedupEquivalence(t *testing.T) {
 				on := detConfig(wc[0], wc[1])
 				off := on
 				off.DisableFitDedup = true
-				a, err := New(on).Detect(bench.Dirty)
+				a, err := New(on).DetectOn(context.Background(), nil, bench.Dirty)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := New(off).Detect(bench.Dirty)
+				b, err := New(off).DetectOn(context.Background(), nil, bench.Dirty)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,11 +60,11 @@ func TestFitDedupEquivalenceUnderAblations(t *testing.T) {
 			tc.mutate(&on)
 			off := on
 			off.DisableFitDedup = true
-			a, err := New(on).Detect(bench.Dirty)
+			a, err := New(on).DetectOn(context.Background(), nil, bench.Dirty)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := New(off).Detect(bench.Dirty)
+			b, err := New(off).DetectOn(context.Background(), nil, bench.Dirty)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +78,7 @@ func TestFitDedupEquivalenceUnderAblations(t *testing.T) {
 // values.
 func TestFitStageTimings(t *testing.T) {
 	bench := detBenches()[0]
-	m, err := New(detConfig(2, 2)).Fit(bench.Dirty)
+	m, err := New(detConfig(2, 2)).FitOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 package zeroed
 
-// Tests for the Fit/Score split: Detect must be exactly Fit composed with
-// Score (bit-identical verdicts and float64 score bits for any worker and
+// Tests for the fit/score split: DetectOn must be exactly FitOn composed
+// with ScoreOn (bit-identical verdicts and float64 score bits for any worker and
 // shard count), ModelState must round-trip losslessly, and scoring new rows
 // — including rows with values never seen during fitting — must be defined
 // and deterministic.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -16,7 +17,7 @@ import (
 )
 
 // assertScoresIdentical compares predictions and scores bit-for-bit without
-// requiring the diagnostic fields (Score-only results carry none).
+// requiring the diagnostic fields (ScoreOn results carry none).
 func assertScoresIdentical(t *testing.T, name string, a, b *Result) {
 	t.Helper()
 	if len(a.Pred) != len(b.Pred) || len(a.Scores) != len(b.Scores) {
@@ -36,10 +37,10 @@ func assertScoresIdentical(t *testing.T, name string, a, b *Result) {
 	}
 }
 
-// TestDetectEqualsFitScore pins the tentpole contract: Detect(ds) ≡
-// Score(Fit(ds), ds), for Workers∈{1,8} crossed with shard settings.
-// Detect's own worker/shard invariance is pinned by
-// TestWorkerAndShardInvariance, so one Detect reference per dataset
+// TestDetectEqualsFitScore pins the tentpole contract: DetectOn(ds) ≡
+// ScoreOn(FitOn(ds), ds), for Workers∈{1,8} crossed with shard settings.
+// DetectOn's own worker/shard invariance is pinned by
+// TestWorkerAndShardInvariance, so one DetectOn reference per dataset
 // suffices; -short trims the matrix to keep the race-enabled CI job inside
 // its budget.
 func TestDetectEqualsFitScore(t *testing.T) {
@@ -51,16 +52,16 @@ func TestDetectEqualsFitScore(t *testing.T) {
 	}
 	for _, bench := range benches {
 		t.Run(bench.Name, func(t *testing.T) {
-			det, err := New(detConfig(2, 0)).Detect(bench.Dirty)
+			det, err := New(detConfig(2, 0)).DetectOn(context.Background(), nil, bench.Dirty)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, tc := range configs {
-				m, err := New(detConfig(tc.workers, tc.shards)).Fit(bench.Dirty)
+				m, err := New(detConfig(tc.workers, tc.shards)).FitOn(context.Background(), nil, bench.Dirty)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scored, err := m.Score(bench.Dirty)
+				scored, err := m.ScoreOn(context.Background(), nil, bench.Dirty)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,7 +72,7 @@ func TestDetectEqualsFitScore(t *testing.T) {
 					m.Info().AugmentedErrs != det.AugmentedErrs ||
 					m.Info().CriteriaCount != det.CriteriaCount ||
 					m.Info().Usage != det.Usage {
-					t.Fatalf("%s: fit diagnostics differ from Detect's", name)
+					t.Fatalf("%s: fit diagnostics differ from DetectOn's", name)
 				}
 			}
 		})
@@ -83,11 +84,11 @@ func TestDetectEqualsFitScore(t *testing.T) {
 // rather than copied) scores bit-identically, for Workers∈{1,8}.
 func TestModelStateRoundTrip(t *testing.T) {
 	bench := datasets.Hospital(180, 7)
-	m, err := New(detConfig(2, 0)).Fit(bench.Dirty)
+	m, err := New(detConfig(2, 0)).FitOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Score(bench.Dirty)
+	want, err := m.ScoreOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestModelStateRoundTrip(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		restored.SetParallelism(workers, 0)
-		got, err := restored.Score(bench.Dirty)
+		got, err := restored.ScoreOn(context.Background(), nil, bench.Dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +112,11 @@ func TestModelStateRoundTrip(t *testing.T) {
 func TestScoreRowsMatchesScore(t *testing.T) {
 	bench := datasets.Hospital(160, 5)
 	d := bench.Dirty
-	m, err := New(detConfig(2, 0)).Fit(d)
+	m, err := New(detConfig(2, 0)).FitOn(context.Background(), nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Score(d)
+	want, err := m.ScoreOn(context.Background(), nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestScoreRowsMatchesScore(t *testing.T) {
 	for i := range rows {
 		rows[i] = d.Row(i)
 	}
-	got, err := m.ScoreRows(rows)
+	got, err := m.ScoreRowsOn(context.Background(), nil, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +140,11 @@ func TestScoreRowsMatchesScore(t *testing.T) {
 	for j := range novel[1] {
 		novel[1][j] = "??totally-novel??"
 	}
-	a, err := m.ScoreRows(novel)
+	a, err := m.ScoreRowsOn(context.Background(), nil, novel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.ScoreRows(novel)
+	b, err := m.ScoreRowsOn(context.Background(), nil, novel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,36 +155,36 @@ func TestScoreRowsMatchesScore(t *testing.T) {
 }
 
 // TestScoreWarmCacheEquivalence pins the model-lifetime warm cache: a
-// second Score call (served largely from scores the first call computed)
+// second ScoreOn call (served largely from scores the first call computed)
 // is bit-identical to the first, to a dedup-disabled model's scoring, and
-// to Detect — including rows carrying values the fit never saw, which are
+// to DetectOn — including rows carrying values the fit never saw, which are
 // excluded from the shared cache by the stable-ID check.
 func TestScoreWarmCacheEquivalence(t *testing.T) {
 	bench := datasets.Hospital(200, 7)
 	cfg := detConfig(4, 0)
-	det, err := New(cfg).Detect(bench.Dirty)
+	det, err := New(cfg).DetectOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(cfg).Fit(bench.Dirty)
+	m, err := New(cfg).FitOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgOff := cfg
 	cfgOff.DisableScoreDedup = true
-	mOff, err := New(cfgOff).Fit(bench.Dirty)
+	mOff, err := New(cfgOff).FitOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := m.Score(bench.Dirty)
+	cold, err := m.ScoreOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := m.Score(bench.Dirty)
+	warm, err := m.ScoreOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := mOff.Score(bench.Dirty)
+	off, err := mOff.ScoreOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,15 +194,15 @@ func TestScoreWarmCacheEquivalence(t *testing.T) {
 
 	novel := [][]string{bench.Dirty.Row(0), bench.Dirty.Row(1)}
 	novel[1][0] = "warm-cache-novel-value"
-	a, err := m.ScoreRows(novel)
+	a, err := m.ScoreRowsOn(context.Background(), nil, novel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.ScoreRows(novel) // second call hits the warm cache
+	b, err := m.ScoreRowsOn(context.Background(), nil, novel) // second call hits the warm cache
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := mOff.ScoreRows(novel)
+	c, err := mOff.ScoreRowsOn(context.Background(), nil, novel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,25 +214,25 @@ func TestScoreWarmCacheEquivalence(t *testing.T) {
 // panics.
 func TestScoreInputValidation(t *testing.T) {
 	bench := datasets.Hospital(150, 5)
-	m, err := New(detConfig(1, 0)).Fit(bench.Dirty)
+	m, err := New(detConfig(1, 0)).FitOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ScoreRows([][]string{{"too", "short"}}); err == nil {
+	if _, err := m.ScoreRowsOn(context.Background(), nil, [][]string{{"too", "short"}}); err == nil {
 		t.Error("short row accepted")
 	}
 	other := table.New("other", []string{"a", "b"})
 	other.MustAppendRow([]string{"1", "2"})
-	if _, err := m.Score(other); err == nil {
+	if _, err := m.ScoreOn(context.Background(), nil, other); err == nil {
 		t.Error("mismatched schema accepted")
 	}
-	if _, err := m.ScoreRows(nil); err == nil {
+	if _, err := m.ScoreRowsOn(context.Background(), nil, nil); err == nil {
 		t.Error("empty row set accepted")
 	}
 }
 
 // TestFitDegenerate: a constant dataset yields a degenerate (label-replay)
-// model whose Score still matches Detect on the fitting data, and whose
+// model whose ScoreOn still matches DetectOn on the fitting data, and whose
 // state round-trips.
 func TestFitDegenerate(t *testing.T) {
 	d := table.New("const", []string{"a", "b"})
@@ -241,18 +242,18 @@ func TestFitDegenerate(t *testing.T) {
 	// Without verification there is no error augmentation, so an all-clean
 	// labeling stays single-class and the fit degenerates to label replay.
 	cfg := Config{Seed: 3, Workers: 2, DisableVerification: true}
-	det, err := New(cfg).Detect(d)
+	det, err := New(cfg).DetectOn(context.Background(), nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(cfg).Fit(d)
+	m, err := New(cfg).FitOn(context.Background(), nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.Degenerate() {
 		t.Fatal("constant dataset fitted a non-degenerate model")
 	}
-	scored, err := m.Score(d)
+	scored, err := m.ScoreOn(context.Background(), nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestFitDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := restored.Score(d)
+	again, err := restored.ScoreOn(context.Background(), nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}

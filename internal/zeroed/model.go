@@ -14,13 +14,13 @@ import (
 	"repro/internal/table"
 )
 
-// Model is a fitted ZeroED detector: everything the cheap Score phase needs,
-// detached from the expensive Fit phase that produced it — the trained MLP,
-// the feature extractor's per-value-ID memo state, the induced (refined)
-// criteria, the column dictionaries and frequency statistics of the fitting
-// data, and the configuration and seed of the run.
+// Model is a fitted ZeroED detector: everything the cheap ScoreOn phase
+// needs, detached from the expensive FitOn phase that produced it — the
+// trained MLP, the feature extractor's per-value-ID memo state, the induced
+// (refined) criteria, the column dictionaries and frequency statistics of
+// the fitting data, and the configuration and seed of the run.
 //
-// Contract: Detect(ds) ≡ Score(Fit(ds), ds) bit-for-bit (verdicts and
+// Contract: DetectOn(ds) ≡ ScoreOn(FitOn(ds), ds) bit-for-bit (verdicts and
 // float64 score bits, for any worker and shard count), and a model that
 // round-trips through the internal/model artifact codec scores
 // bit-identically to the in-memory original. New rows are scored by
@@ -29,7 +29,7 @@ import (
 // path, unseen values take the extractor's defined cold path (zero
 // frequency, on-the-fly embedding, by-string criteria evaluation).
 //
-// A Model is safe for concurrent scoring: every Score call binds its own
+// A Model is safe for concurrent scoring: every scoring call binds its own
 // scoring dataset and the shared memo tables are read-only.
 type Model struct {
 	cfg     Config
@@ -38,7 +38,7 @@ type Model struct {
 	fitRows int
 	ext     *feature.Extractor
 	mlp     *nn.MLP // nil on a degenerate fit (single-class training data)
-	// fallback carries the propagated labels of a degenerate fit; Score
+	// fallback carries the propagated labels of a degenerate fit; scoring
 	// applies them positionally, so they are only meaningful when scoring
 	// the fitting dataset itself.
 	fallback []FallbackLabel
@@ -47,7 +47,7 @@ type Model struct {
 
 	// cacheOnce/cache is the model-lifetime warm score cache: value-ID
 	// tuples over feature.DepCols are stable across every dataset bound to
-	// the model's dictionaries, so scores computed in one Score call replay
+	// the model's dictionaries, so scores computed in one scoring call replay
 	// bit-identically in later ones. Built lazily on first scoring use;
 	// disabled by Config.DisableScoreDedup.
 	cacheOnce sync.Once
@@ -98,26 +98,6 @@ type Lineage struct {
 	RefitRows int
 }
 
-// Fit runs the expensive phase of the pipeline — criteria induction,
-// clustering-based sampling, LLM labeling, training-data construction, and
-// detector training — and returns a reusable fitted model. Fit never scores
-// the dataset; compose with Score, or use Detect for the one-shot form.
-func (dt *Detector) Fit(d *table.Dataset) (*Model, error) {
-	return dt.FitContext(context.Background(), d)
-}
-
-// FitContext is Fit with cooperative cancellation, with the same
-// checkpoints as DetectContext.
-func (dt *Detector) FitContext(ctx context.Context, d *table.Dataset) (*Model, error) {
-	return dt.fit(ctx, d, newWorkPool(dt.cfg.Workers))
-}
-
-// FitOn runs Fit on an externally owned shared pool (NewPool), for serving
-// layers that multiplex many fits over one machine-wide worker budget.
-func (dt *Detector) FitOn(ctx context.Context, p *Pool, d *table.Dataset) (*Model, error) {
-	return dt.fit(ctx, d, p.wp)
-}
-
 // Attrs returns the schema the model was fitted on.
 func (m *Model) Attrs() []string { return m.attrs }
 
@@ -152,7 +132,7 @@ func (m *Model) Lineage() Lineage {
 func (m *Model) SetLineage(l Lineage) { m.lineage = l }
 
 // SetParallelism overrides the worker and shard counts used by subsequent
-// Score calls — scheduling knobs only; results are bit-identical for any
+// scoring calls — scheduling knobs only; results are bit-identical for any
 // setting. Zero or negative workers means GOMAXPROCS, zero shards means
 // auto, mirroring Config.
 func (m *Model) SetParallelism(workers, shards int) {
@@ -160,44 +140,6 @@ func (m *Model) SetParallelism(workers, shards int) {
 	c.Workers = workers
 	c.Shards = shards
 	m.cfg = c.withDefaults()
-}
-
-// Score runs the cheap phase on a dataset with the model's schema: every
-// cell is featurized against the model's memo state and scored by the
-// fitted detector, with no criteria induction, sampling, labeling, or
-// training. The returned Result carries Pred, Scores, and the scoring
-// Runtime; fit diagnostics live in Info.
-func (m *Model) Score(d *table.Dataset) (*Result, error) {
-	return m.ScoreContext(context.Background(), d)
-}
-
-// ScoreContext is Score with cooperative cancellation (checked per scoring
-// shard unit and every few hundred rows within a shard).
-func (m *Model) ScoreContext(ctx context.Context, d *table.Dataset) (*Result, error) {
-	return m.scoreOn(ctx, newWorkPool(m.cfg.Workers), d)
-}
-
-// ScoreOn is Score on an externally owned shared pool (NewPool).
-func (m *Model) ScoreOn(ctx context.Context, p *Pool, d *table.Dataset) (*Result, error) {
-	return m.scoreOn(ctx, p.wp, d)
-}
-
-// ScoreRows scores raw tuples (in the model's attribute order) without an
-// intermediate dataset: rows are interned directly into a dataset bound to
-// the model's dictionaries. A row whose arity does not match the schema is
-// rejected.
-func (m *Model) ScoreRows(rows [][]string) (*Result, error) {
-	return m.ScoreRowsContext(context.Background(), rows)
-}
-
-// ScoreRowsContext is ScoreRows with cooperative cancellation.
-func (m *Model) ScoreRowsContext(ctx context.Context, rows [][]string) (*Result, error) {
-	return m.scoreRowsOn(ctx, newWorkPool(m.cfg.Workers), rows)
-}
-
-// ScoreRowsOn is ScoreRows on an externally owned shared pool.
-func (m *Model) ScoreRowsOn(ctx context.Context, p *Pool, rows [][]string) (*Result, error) {
-	return m.scoreRowsOn(ctx, p.wp, rows)
 }
 
 // bind creates the empty scoring dataset seeded with the model's
@@ -220,11 +162,19 @@ func (m *Model) checkSchema(attrs []string) error {
 	return nil
 }
 
-// scoreOn re-interns the dataset's cells against the model's dictionaries
-// and scores the bound copy. For the fitting dataset this reproduces the
+// ScoreOn runs the cheap phase on a dataset with the model's schema, on
+// pool p (nil: a private pool of the model's Workers): every cell is
+// featurized against the model's memo state and scored by the fitted
+// detector, with no criteria induction, sampling, labeling, or training.
+// The returned Result carries Pred, Scores, and the scoring Runtime; fit
+// diagnostics live in Info. The context is checked per scoring shard unit
+// and every few hundred rows within a shard.
+//
+// The dataset's cells are re-interned against the model's dictionaries and
+// the bound copy is scored. For the fitting dataset this reproduces the
 // fit-time value IDs exactly (the pools were captured from it), which is
-// what makes Detect ≡ Fit + Score bit-identical.
-func (m *Model) scoreOn(ctx context.Context, pool *workPool, d *table.Dataset) (*Result, error) {
+// what makes DetectOn ≡ FitOn + ScoreOn bit-identical.
+func (m *Model) ScoreOn(ctx context.Context, p *Pool, d *table.Dataset) (*Result, error) {
 	if err := m.checkSchema(d.Attrs); err != nil {
 		return nil, err
 	}
@@ -241,10 +191,14 @@ func (m *Model) scoreOn(ctx context.Context, pool *workPool, d *table.Dataset) (
 		sd.MustAppendRow(row)
 	}
 	bindSpan.End()
-	return m.scoreBound(ctx, pool, sd)
+	return m.scoreBound(ctx, p.orNew(m.cfg.Workers), sd)
 }
 
-func (m *Model) scoreRowsOn(ctx context.Context, pool *workPool, rows [][]string) (*Result, error) {
+// ScoreRowsOn scores raw tuples (in the model's attribute order) on pool p
+// (nil: a private pool of the model's Workers) without an intermediate
+// dataset: rows are interned directly into a dataset bound to the model's
+// dictionaries. A row whose arity does not match the schema is rejected.
+func (m *Model) ScoreRowsOn(ctx context.Context, p *Pool, rows [][]string) (*Result, error) {
 	sd, err := m.bind()
 	if err != nil {
 		return nil, err
@@ -254,7 +208,7 @@ func (m *Model) scoreRowsOn(ctx context.Context, pool *workPool, rows [][]string
 			return nil, fmt.Errorf("zeroed: row %d: %w", i, err)
 		}
 	}
-	return m.scoreBound(ctx, pool, sd)
+	return m.scoreBound(ctx, p.orNew(m.cfg.Workers), sd)
 }
 
 // scoreBound scores every cell of a dataset already bound to the model's
@@ -263,7 +217,7 @@ func (m *Model) scoreRowsOn(ctx context.Context, pool *workPool, rows [][]string
 // shardScorer over the shared rebound extractor and fitted MLP, writing
 // disjoint row ranges — bit-identical for every worker and shard count, and
 // for dedup on vs off.
-func (m *Model) scoreBound(ctx context.Context, pool *workPool, sd *table.Dataset) (*Result, error) {
+func (m *Model) scoreBound(ctx context.Context, pool *Pool, sd *table.Dataset) (*Result, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -309,10 +263,10 @@ func (m *Model) scoreBound(ctx context.Context, pool *workPool, sd *table.Datase
 }
 
 // scoreCells runs the sharded scoring pass over every cell of d into the
-// shared pred/scores matrices. Shared by the engine's Detect composition
-// and by standalone Model.Score calls; shared, when non-nil, is the
+// shared pred/scores matrices. Shared by DetectOn's fused fit-then-score
+// and by standalone ScoreOn/ScoreRowsOn calls; shared, when non-nil, is the
 // model-lifetime warm cache spanning shards and calls.
-func scoreCells(ctx context.Context, pool *workPool, cfg Config, ext *feature.Extractor,
+func scoreCells(ctx context.Context, pool *Pool, cfg Config, ext *feature.Extractor,
 	mlp *nn.MLP, d *table.Dataset, pred [][]bool, scores [][]float64, shared *sharedScoreCache) {
 	n, cols := d.NumRows(), d.NumCols()
 	// depCols[j] is the value-ID tuple that keys column j's dedup cache;

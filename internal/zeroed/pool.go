@@ -6,35 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// Pool is an exported handle on one shared bounded worker pool, for callers
-// that multiplex many detection runs arriving over time — a serving process
-// admitting jobs, for example — onto a single machine-wide worker budget
-// via Detector.DetectOn. Every stage of every run scheduled on the pool
-// draws from the same token budget, so N concurrent jobs never oversubscribe
-// the machine beyond the pool's worker count. A Pool is safe for concurrent
-// use and needs no shutdown.
-type Pool struct {
-	wp *workPool
-}
-
-// NewPool creates a shared pool with the given worker budget; zero or
-// negative means runtime.GOMAXPROCS(0), mirroring Config.Workers.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{wp: newWorkPool(workers)}
-}
-
-// Workers returns the pool's worker budget.
-func (p *Pool) Workers() int { return cap(p.wp.tokens) + 1 }
-
-// workPool is the one bounded worker budget shared by every stage of the
+// Pool is the one bounded worker budget shared by every stage of the
 // detection engine. A single pool spans criteria generation, sampling and
 // labeling, training-data construction, feature building, and sharded
 // scoring — and, through DetectBatch, all of those stages across several
 // concurrent dataset runs — so nested fan-out never oversubscribes the
-// machine beyond the configured worker count.
+// machine beyond its worker count. Callers that multiplex many runs
+// arriving over time (a serving process admitting jobs, for example) pass
+// one machine-wide pool to the *On calls (Detector.DetectOn and FitOn,
+// Model.ScoreOn and ScoreRowsOn); a nil *Pool passed to any of them means a
+// private pool of the run's configured Workers. A Pool is safe for
+// concurrent use and needs no shutdown.
 //
 // The design is caller-runs with best-effort helpers: forN always executes
 // work on the calling goroutine and additionally spawns helper goroutines
@@ -47,27 +29,38 @@ func (p *Pool) Workers() int { return cap(p.wp.tokens) + 1 }
 // determinism contract — every unit of work writes disjoint slots and draws
 // randomness from its own derived stream — so results are bit-identical for
 // any worker count.
-type workPool struct {
+type Pool struct {
 	// tokens holds workers-1 helper slots; the calling goroutine of each
 	// forN is the implicit extra worker.
 	tokens chan struct{}
 }
 
-// newWorkPool creates a pool with the given worker budget. Config
-// normalization (withDefaults) guarantees workers >= 1 everywhere in this
-// package.
-func newWorkPool(workers int) *workPool {
-	if workers < 1 {
-		workers = 1
+// NewPool creates a shared pool with the given worker budget; zero or
+// negative means runtime.GOMAXPROCS(0), mirroring Config.Workers.
+func NewPool(workers int) *Pool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return &workPool{tokens: make(chan struct{}, workers-1)}
+	return &Pool{tokens: make(chan struct{}, workers-1)}
+}
+
+// Workers returns the pool's worker budget.
+func (p *Pool) Workers() int { return cap(p.tokens) + 1 }
+
+// orNew resolves the pool argument of the *On calls: a nil *Pool means a
+// private pool of the given worker budget for this call.
+func (p *Pool) orNew(workers int) *Pool {
+	if p == nil {
+		return NewPool(workers)
+	}
+	return p
 }
 
 // forN runs fn(0..n-1), distributing iterations across the caller plus as
 // many helper workers as the shared budget allows, and returns after every
 // iteration completed. Iterations are claimed from an atomic cursor, so the
 // partition adapts to uneven unit costs.
-func (p *workPool) forN(n int, fn func(i int)) {
+func (p *Pool) forN(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}

@@ -16,7 +16,7 @@ import (
 const maxSharedCacheEntries = 1 << 20
 
 // sharedScoreCache is a model-lifetime, concurrency-safe score memo shared
-// by every Score call against one fitted model — the "score forever" side
+// by every scoring call against one fitted model — the "score forever" side
 // of the fit/score split. Keys are the same packed value-ID tuples the
 // per-shard dedup cache uses, and they are only admitted when every
 // participating ID is below the fit-time dictionary size: those IDs are
@@ -94,7 +94,7 @@ type shardScorer struct {
 	// depCols[j] keys column j's cache; nil disables dedup entirely.
 	depCols [][]int
 	caches  []map[string]float64
-	// shared is the model-lifetime cache spanning shards and Score calls
+	// shared is the model-lifetime cache spanning shards and scoring calls
 	// (nil outside model scoring or when dedup is disabled). Checked after
 	// the lock-free local cache; only keys whose IDs are all fit-time
 	// stable participate.

@@ -24,11 +24,11 @@ func TestScoreDedupEquivalence(t *testing.T) {
 				on := detConfig(2, shards)
 				off := on
 				off.DisableScoreDedup = true
-				a, err := New(on).Detect(bench.Dirty)
+				a, err := New(on).DetectOn(context.Background(), nil, bench.Dirty)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := New(off).Detect(bench.Dirty)
+				b, err := New(off).DetectOn(context.Background(), nil, bench.Dirty)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -48,20 +48,18 @@ func scorerFixture(t testing.TB, dedup bool) (*shardScorer, int) {
 	// Train a tiny MLP on synthetic two-class data of the right width; the
 	// scorer only needs a fitted model, not a good one.
 	rng := rand.New(rand.NewSource(5))
-	X := make([][]float64, 24)
-	y := make([]float64, 24)
+	const nTrain = 24
+	X := make([]float64, nTrain*dim)
+	y := make([]float64, nTrain)
 	for i := range X {
-		X[i] = make([]float64, dim)
-		for k := range X[i] {
-			X[i][k] = rng.Float64()
-		}
-		if i%2 == 0 {
-			y[i] = 1
-		}
+		X[i] = rng.Float64()
+	}
+	for i := 0; i < nTrain; i += 2 {
+		y[i] = 1
 	}
 	cfg := nn.Config{Hidden1: 8, Hidden2: 4, Epochs: 2, Seed: 1}
 	mlp := nn.New(dim, cfg)
-	if _, err := mlp.Train(X, y); err != nil {
+	if _, err := mlp.Train(context.Background(), X, nTrain, y); err != nil {
 		t.Fatal(err)
 	}
 	n, m := d.NumRows(), d.NumCols()

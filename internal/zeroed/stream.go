@@ -187,6 +187,7 @@ func (ss *StreamScorer) Gauges() (stats.DriftGauges, int) {
 // the refit accumulator. The verdicts are computed before the fold, so a
 // concurrent hot-swap never tears a chunk: every row of the chunk is scored
 // by the one model captured at entry, reported in the status version.
+// Scoring runs on p; a nil p means a private pool of the model's Workers.
 func (ss *StreamScorer) ScoreChunk(ctx context.Context, p *Pool, rows [][]string) (*Result, ChunkStatus, error) {
 	ss.mu.Lock()
 	m, version := ss.m, ss.version
@@ -197,13 +198,7 @@ func (ss *StreamScorer) ScoreChunk(ctx context.Context, p *Pool, rows [][]string
 	span.SetInt("rows", int64(len(rows)))
 	span.SetInt("version", int64(version))
 
-	var res *Result
-	var err error
-	if p != nil {
-		res, err = m.ScoreRowsOn(ctx, p, rows)
-	} else {
-		res, err = m.ScoreRowsContext(ctx, rows)
-	}
+	res, err := m.ScoreRowsOn(ctx, p, rows)
 	if err != nil {
 		return nil, ChunkStatus{Version: version}, err
 	}
@@ -326,10 +321,11 @@ func (ss *StreamScorer) AbortRefit() {
 // The successor reuses the prior model's configuration and seed, and —
 // because the accumulator is seeded with the prior dictionaries — its
 // dictionaries extend the prior model's. Fitting is deterministic given the
-// accumulated dataset: an independent Fit over the same accumulated rows
+// accumulated dataset: an independent FitOn over the same accumulated rows
 // with the same dictionary seeding produces a bit-identical successor
 // (pinned by TestStreamRefitMatchesFromScratchFit).
 //
+// The fit runs on p; a nil p means a private pool of the model's Workers.
 // Refit does not swap anything: the caller persists/installs the returned
 // model via Install, so in-flight chunks keep scoring on the old model
 // until the swap is complete.
@@ -348,14 +344,7 @@ func (ss *StreamScorer) Refit(ctx context.Context, p *Pool) (*Model, error) {
 	}
 	ds := snap.Clone()
 	ds.Name = "refit"
-	det := New(prior.cfg)
-	var m2 *Model
-	var err error
-	if p != nil {
-		m2, err = det.FitOn(ctx, p, ds)
-	} else {
-		m2, err = det.FitContext(ctx, ds)
-	}
+	m2, err := New(prior.cfg).FitOn(ctx, p, ds)
 	if err != nil {
 		return nil, fmt.Errorf("zeroed: refit failed: %w", err)
 	}

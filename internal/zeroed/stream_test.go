@@ -24,7 +24,7 @@ func fitStreamModel(t testing.TB) (*Model, *datasets.Bench) {
 		streamFitOnce.bench = datasets.Hospital(200, 7)
 		streamFitOnce.m, streamFitOnce.err = New(Config{
 			LabelRate: 0.08, EmbedDim: 16, Seed: 7, Workers: 2,
-		}).Fit(streamFitOnce.bench.Dirty)
+		}).FitOn(context.Background(), nil, streamFitOnce.bench.Dirty)
 	})
 	if streamFitOnce.err != nil {
 		t.Fatal(streamFitOnce.err)
@@ -166,7 +166,7 @@ func TestStreamDriftGaugesAndTrip(t *testing.T) {
 
 // TestStreamRefitMatchesFromScratchFit pins the successor contract: a
 // drift-triggered refit is bit-identical to an independent from-scratch
-// Fit over the same accumulated dataset. The accumulated dataset reuses the
+// FitOn over the same accumulated dataset. The accumulated dataset reuses the
 // prior model's dictionaries (it is seeded from them), so dictionary-ID
 // assignment is part of the fit input — that is the documented delta
 // against fitting freshly materialized rows, and within it the refit is
@@ -214,15 +214,15 @@ func TestStreamRefitMatchesFromScratchFit(t *testing.T) {
 	}
 	ds := snap.Clone()
 	ds.Name = "refit"
-	scratch, err := New(m.Config()).Fit(ds)
+	scratch, err := New(m.Config()).FitOn(context.Background(), nil, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := successor.ScoreRows(rows[:60])
+	a, err := successor.ScoreRowsOn(context.Background(), nil, rows[:60])
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := scratch.ScoreRows(rows[:60])
+	b, err := scratch.ScoreRowsOn(context.Background(), nil, rows[:60])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestStreamScorerRejectsDegenerate(t *testing.T) {
 		t.Skip("fits a model")
 	}
 	clean := datasets.Hospital(60, 3).Clean
-	dm, err := New(Config{LabelRate: 0.1, EmbedDim: 8, Seed: 3, Workers: 2}).Fit(clean)
+	dm, err := New(Config{LabelRate: 0.1, EmbedDim: 8, Seed: 3, Workers: 2}).FitOn(context.Background(), nil, clean)
 	if err != nil {
 		t.Fatal(err)
 	}

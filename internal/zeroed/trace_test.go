@@ -28,14 +28,14 @@ func TestTraceOnOffBitIdentical(t *testing.T) {
 				det := New(detConfig(workers, shards))
 
 				obs.SetEnabled(false)
-				base, err := det.Detect(b.Dirty)
+				base, err := det.DetectOn(context.Background(), nil, b.Dirty)
 				if err != nil {
 					t.Fatalf("untraced detect: %v", err)
 				}
 
 				obs.SetEnabled(true)
 				ctx, tr := obs.NewTrace(context.Background(), "detect")
-				traced, err := det.DetectContext(ctx, b.Dirty)
+				traced, err := det.DetectOn(ctx, nil, b.Dirty)
 				tr.Finish()
 				obs.SetEnabled(false)
 				if err != nil {

@@ -65,8 +65,8 @@ type Config struct {
 	// scheduled as independent units on the shared pool, then merged into
 	// one verdict mask. Zero means auto (a few shards per worker). The
 	// fitted model is shared by all shards, so output is bit-identical for
-	// every shard count; see Detector.DetectShards for the
-	// independent-model-per-shard alternative.
+	// every shard count. Independent datasets share one worker budget
+	// through Detector.DetectBatch.
 	Shards int
 	// DisableScoreDedup turns off the scoring dedup cache. By default each
 	// scoring shard memoizes cell scores behind the cell's value-ID tuple

@@ -1,6 +1,7 @@
 package zeroed
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -45,7 +46,7 @@ func fastConfig() Config {
 func TestDetectEndToEnd(t *testing.T) {
 	b := smallBench(t)
 	det := New(fastConfig())
-	res, err := det.Detect(b.Dirty)
+	res, err := det.DetectOn(context.Background(), nil, b.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestDetectEndToEnd(t *testing.T) {
 
 func TestDetectEmptyDataset(t *testing.T) {
 	det := New(fastConfig())
-	if _, err := det.Detect(table.New("x", []string{"a"})); err == nil {
+	if _, err := det.DetectOn(context.Background(), nil, table.New("x", []string{"a"})); err == nil {
 		t.Error("empty dataset must error")
 	}
 }
@@ -95,7 +96,7 @@ func TestAblationsRunAndDegrade(t *testing.T) {
 	b := smallBench(t)
 	base := fastConfig()
 	f1 := func(cfg Config) float64 {
-		res, err := New(cfg).Detect(b.Dirty)
+		res, err := New(cfg).DetectOn(context.Background(), nil, b.Dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestSamplersAllWork(t *testing.T) {
 	for _, s := range []Sampler{SamplerKMeans, SamplerAgglomerative, SamplerRandom} {
 		cfg := fastConfig()
 		cfg.Sampler = s
-		res, err := New(cfg).Detect(b.Dirty)
+		res, err := New(cfg).DetectOn(context.Background(), nil, b.Dirty)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -153,7 +154,7 @@ func TestTokenUsageScalesWithLabelRate(t *testing.T) {
 	usage := func(rate float64) int64 {
 		cfg := fastConfig()
 		cfg.LabelRate = rate
-		res, err := New(cfg).Detect(b.Dirty)
+		res, err := New(cfg).DetectOn(context.Background(), nil, b.Dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestWeakModelDoesWorse(t *testing.T) {
 	f1For := func(p llm.Profile) float64 {
 		cfg := fastConfig()
 		cfg.Profile = p
-		res, err := New(cfg).Detect(b.Dirty)
+		res, err := New(cfg).DetectOn(context.Background(), nil, b.Dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +193,7 @@ func TestWeakModelDoesWorse(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	b := datasets.Hospital(150, 3)
 	run := func() [][]bool {
-		res, err := New(fastConfig()).Detect(b.Dirty)
+		res, err := New(fastConfig()).DetectOn(context.Background(), nil, b.Dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,13 +212,13 @@ func TestDeterministicRuns(t *testing.T) {
 func TestDetectDoesNotMutateInput(t *testing.T) {
 	b := datasets.Hospital(150, 5)
 	before := b.Dirty.Clone()
-	if _, err := New(fastConfig()).Detect(b.Dirty); err != nil {
+	if _, err := New(fastConfig()).DetectOn(context.Background(), nil, b.Dirty); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < before.NumRows(); i++ {
 		for j := 0; j < before.NumCols(); j++ {
 			if b.Dirty.Value(i, j) != before.Value(i, j) {
-				t.Fatalf("Detect mutated the input at (%d,%d)", i, j)
+				t.Fatalf("DetectOn mutated the input at (%d,%d)", i, j)
 			}
 		}
 	}
@@ -251,7 +252,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) [][]bool {
 		cfg := fastConfig()
 		cfg.Workers = workers
-		res, err := New(cfg).Detect(b.Dirty)
+		res, err := New(cfg).DetectOn(context.Background(), nil, b.Dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +276,7 @@ func TestLargeDatasetUsesRowSample(t *testing.T) {
 	b := datasets.Hospital(400, 15)
 	cfg := fastConfig()
 	cfg.ClusterSampleRows = 150
-	res, err := New(cfg).Detect(b.Dirty)
+	res, err := New(cfg).DetectOn(context.Background(), nil, b.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestMaxClustersCapRespected(t *testing.T) {
 	cfg := fastConfig()
 	cfg.LabelRate = 0.5 // would be 150 clusters/attr uncapped
 	cfg.MaxClustersPerAttr = 10
-	res, err := New(cfg).Detect(b.Dirty)
+	res, err := New(cfg).DetectOn(context.Background(), nil, b.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
