@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/kernel"
 	"repro/internal/randx"
 )
 
@@ -238,47 +239,19 @@ func updateCentroids(data []float64, n, dim int, assign []int, centroids [][]flo
 
 // distsToAll computes the exact squared distance from vec to each of the m
 // vectors held column-major in tileT (coordinate j of vector t at
-// tileT[j*m+t]), writing them into dist[:m]. Accumulator t receives
-// (vec[0]-x_t[0])² + (vec[1]-x_t[1])² + ... strictly in ascending
-// coordinate order — sqDist's exact association, so every distance is
-// bit-identical to sqDist(vec, x_t) — while the column walk advances m
-// independent dependency chains and four coordinates per pass amortize the
-// accumulator traffic, the same instruction-count trick as nn's
-// column-major kernels. (A squared difference is sign-insensitive, so
+// tileT[j*m+t]), writing them into dist[:m]. It is kernel.SqDist over
+// zeroed accumulators: accumulator t receives (vec[0]-x_t[0])² +
+// (vec[1]-x_t[1])² + ... strictly in ascending coordinate order — sqDist's
+// exact association, so every distance is bit-identical to sqDist(vec,
+// x_t) — while the column walk advances m independent lanes, four per
+// instruction on AVX2. (A squared difference is sign-insensitive, so
 // either subtraction orientation yields identical bits.)
 func distsToAll(vec, tileT []float64, m int, dist []float64) {
 	d := dist[:m]
 	for t := range d {
 		d[t] = 0
 	}
-	dim := len(vec)
-	j := 0
-	for ; j+4 <= dim; j += 4 {
-		p0, p1, p2, p3 := vec[j], vec[j+1], vec[j+2], vec[j+3]
-		c0 := tileT[(j+0)*m:][:m]
-		c1 := tileT[(j+1)*m:][:m]
-		c2 := tileT[(j+2)*m:][:m]
-		c3 := tileT[(j+3)*m:][:m]
-		for t := range d {
-			e0 := p0 - c0[t]
-			s := d[t] + e0*e0
-			e1 := p1 - c1[t]
-			s += e1 * e1
-			e2 := p2 - c2[t]
-			s += e2 * e2
-			e3 := p3 - c3[t]
-			s += e3 * e3
-			d[t] = s
-		}
-	}
-	for ; j < dim; j++ {
-		pj := vec[j]
-		col := tileT[j*m:][:m]
-		for t := range d {
-			e := pj - col[t]
-			d[t] += e * e
-		}
-	}
+	kernel.SqDist(d, tileT, vec)
 }
 
 // transposeRows fills tileT (dim x m, column-major tile) from the m rows of

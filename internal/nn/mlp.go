@@ -7,15 +7,18 @@
 // The two hidden-layer weight matrices live in flat column-major []float64
 // buffers: weight w[r][c] (output unit r, input c) of a layer with n output
 // units sits at w[c*n+r], so input column c is the contiguous slice
-// w[c*n:(c+1)*n]. Training and inference both run on that one layout: every
-// kernel walks input columns and advances all output accumulators from each,
-// and every accumulator still receives b[r] + w[r][0]*x[0] + w[r][1]*x[1] +
-// ... in ascending column order, so results are bit-identical to a naive
-// row-major dot product. Snapshot and FromSnapshot convert to and from
-// row-major at the artifact boundary. Inference (Predict / PredictInto) is
-// allocation-free in steady state, drawing activation scratch from an
-// internal pool so that many goroutines can score against one fitted model
-// concurrently.
+// w[c*n:(c+1)*n]. Training and inference both run on that one layout, and
+// every hot loop is one of internal/kernel's four kernels: kernel.Accum
+// runs both forward passes (training and inference alike) and the backward
+// delta product, kernel.Rank1 the weight gradients, and kernel.Adam every
+// parameter update. Each accumulator still receives b[r] + w[r][0]*x[0] +
+// w[r][1]*x[1] + ... in ascending column order, so results are
+// bit-identical to a naive row-major dot product, whether the kernels run
+// their AVX2 bodies or their Go twins. Snapshot and FromSnapshot convert to
+// and from row-major at the artifact boundary. Inference (Predict /
+// PredictInto) is allocation-free in steady state, drawing activation
+// scratch from an internal pool so that many goroutines can score against
+// one fitted model concurrently.
 package nn
 
 import (
@@ -24,6 +27,8 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+
+	"repro/internal/kernel"
 )
 
 // Config controls MLP shape and training.
@@ -60,14 +65,8 @@ type MLP struct {
 	scratch sync.Pool
 }
 
-// predictBlock is the number of rows PredictInto advances together, the
-// row count blockAccum is unrolled for: each weight loaded from a column
-// slice feeds this many rows' accumulators. Two rows keep both rows' four
-// inputs in registers on amd64; four rows spill and measure slower.
-const predictBlock = 2
-
-// fwdScratch is one goroutine's activation workspace: predictBlock rows of
-// each hidden layer, row-major (row b's units at h[b*width:(b+1)*width]).
+// fwdScratch is one goroutine's activation workspace: one row of each
+// hidden layer.
 type fwdScratch struct {
 	h1, h2 []float64
 }
@@ -78,8 +77,8 @@ func (m *MLP) initScratch() {
 	h1n, h2n := m.cfg.Hidden1, m.cfg.Hidden2
 	m.scratch.New = func() any {
 		return &fwdScratch{
-			h1: make([]float64, predictBlock*h1n),
-			h2: make([]float64, predictBlock*h2n),
+			h1: make([]float64, h1n),
+			h2: make([]float64, h2n),
 		}
 	}
 }
@@ -160,20 +159,19 @@ type adamState struct {
 
 func newAdam(n int) *adamState { return &adamState{m: make([]float64, n), v: make([]float64, n)} }
 
-func (a *adamState) step(params, grads []float64, lr float64) {
+// step applies one Adam update to params, first adding the L2 decay
+// l2*params to grads when l2 != 0. The step's scalars come from untyped
+// constants, so 1-beta1 is the constant-folded 0.1, not 1 - 0.9 in float64.
+func (a *adamState) step(params, grads []float64, lr, l2 float64) {
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
 	a.t++
-	bc1 := 1 - math.Pow(beta1, float64(a.t))
-	bc2 := 1 - math.Pow(beta2, float64(a.t))
-	grads = grads[:len(params)]
-	am := a.m[:len(params)]
-	av := a.v[:len(params)]
-	for i := range params {
-		g := grads[i]
-		am[i] = beta1*am[i] + (1-beta1)*g
-		av[i] = beta2*av[i] + (1-beta2)*g*g
-		params[i] -= lr * (am[i] / bc1) / (math.Sqrt(av[i]/bc2) + eps)
-	}
+	kernel.Adam(params, grads, a.m, a.v, &kernel.AdamStep{
+		L2: l2, LR: lr, Eps: eps,
+		Beta1: beta1, OneMinusBeta1: 1 - beta1,
+		Beta2: beta2, OneMinusBeta2: 1 - beta2,
+		BC1: 1 - math.Pow(beta1, float64(a.t)),
+		BC2: 1 - math.Pow(beta2, float64(a.t)),
+	})
 }
 
 // Train fits the MLP on a flat row-major feature tile and binary labels y
@@ -248,30 +246,21 @@ func (m *MLP) train(ctx context.Context, X []float64, n int, y []float64) (float
 	d2 := make([]float64, h2n)
 	d1 := make([]float64, h1n)
 
-	// The forward pass runs directly on the model's column-major weights.
-	// The hot per-sample loops walk one input column at a time and update
-	// every output unit's accumulator from it: each accumulator r still
-	// receives exactly b[r] + w[r][0]*x[0] + w[r][1]*x[1] + ... in
-	// ascending column order — the same left-to-right association as a
-	// naive dot product — so the trained weights are bit-identical to the
-	// historical row-major loops. The payoff is instruction-level
-	// parallelism: a single row's dot product is one latency-bound chain of
-	// dependent adds, while the column walk advances h1n independent chains
-	// per cache-friendly sequential load. Layer 1 lives entirely in that
-	// layout — weights, gradient, and Adam moments alike — with nothing to
-	// convert on the way in or out. L2 decay and Adam are strictly
-	// elementwise (each parameter's update depends only on its own gradient
-	// and moment history, plus step-count scalars), so the parameter order
-	// of a tensor never changes a trained value. Layer 2 is read row-major
-	// in the backward pass (one row per surviving output delta), so it
-	// trains on the row-major mirror w2r, filled once here, and is copied
-	// into the column-major m.w2 after each Adam step for the next forward
-	// pass.
+	// The forward pass runs directly on the model's column-major weights
+	// through kernel.Accum, which walks input columns and advances every
+	// output unit's accumulator from each: accumulator r still receives
+	// b[r] + w[r][0]*x[0] + w[r][1]*x[1] + ... in ascending column order,
+	// so the trained weights are bit-identical to the historical row-major
+	// loops. Layer 1 lives entirely in that layout — weights, gradient, and
+	// Adam moments alike. L2 decay and Adam are strictly elementwise, so the
+	// parameter order of a tensor never changes a trained value. Layer 2
+	// trains on the row-major mirror w2r, filled once here: read as a
+	// column-major h1n x h2n matrix it is W2ᵀ, so d1 = W2ᵀ·d2 is one Accum,
+	// and each of its rows takes one gradient row. It is copied into the
+	// column-major m.w2 after each Adam step for the next forward pass.
 	w2r := make([]float64, h2n*h1n)
 	g1t := make([]float64, in*h1n)
 	transpose(w2r, m.w2, h1n, h2n)
-	d1nzIdx := make([]int32, h1n)
-	d1nzVal := make([]float64, h1n)
 
 	idx := make([]int, n)
 	for i := range idx {
@@ -302,26 +291,7 @@ func (m *MLP) train(ctx context.Context, X []float64, n int, y []float64) (float
 						return 0, err
 					}
 				}
-				// Forward, column-major: four input columns per pass, each
-				// accumulator taking its four products in ascending column
-				// order — a naive dot product's add sequence, at roughly
-				// half the instructions per multiply-add (the accumulator
-				// load/store and loop overhead amortize over four columns).
-				copy(h1, m.b1)
-				colMajorAccum(h1, m.w1, x, in)
-				for r, s := range h1 {
-					if s < 0 {
-						h1[r] = 0
-					}
-				}
-				copy(h2, m.b2)
-				colMajorAccum(h2, m.w2, h1, h1n)
-				for r, s := range h2 {
-					if s < 0 {
-						h2[r] = 0
-					}
-				}
-				p := sigmoid(dotFrom(m.b3, m.w3, h2))
+				p := m.forward(x, h1, h2)
 
 				t := y[i]
 				epochLoss += bceLoss(t, p)
@@ -335,65 +305,48 @@ func (m *MLP) train(ctx context.Context, X []float64, n int, y []float64) (float
 					}
 				}
 				gradB3[0] += dOut
-				for j := range d1 {
-					d1[j] = 0
-				}
-				for r := 0; r < h2n; r++ {
-					d2r := d2[r]
+				// d1 = W2ᵀ·d2 over every row of W2. A row with d2[r] = ±0
+				// adds w*±0 = ±0 (the weights are finite) to each d1
+				// element, which starts at +0 and so is never −0: the bits
+				// are those of skipping the row.
+				// The gradient rows keep the skip, since h1 is not
+				// validated and an infinite h1 times 0 would be NaN.
+				zero(d1)
+				kernel.Accum(d1, w2r, d2)
+				for r, d2r := range d2 {
 					if d2r == 0 {
 						continue
 					}
-					// Reslice scratch views to the row length so the inner
-					// loop runs without bounds checks; per-element arithmetic
-					// order is unchanged.
-					row := w2r[r*h1n : (r+1)*h1n]
-					g := gradW2[r*h1n : r*h1n+len(row)]
-					hr := h1[:len(row)]
-					dr := d1[:len(row)]
-					for c, w := range row {
-						g[c] += d2r * hr[c]
-						dr[c] += d2r * w
-					}
+					kernel.Rank1(gradW2[r*h1n:(r+1)*h1n], h1, d2[r:r+1])
 					gradB2[r] += d2r
 				}
-				// Compact the surviving layer-1 deltas (ReLU kills about
-				// half), then scatter the outer product into the column-major
-				// gradient tile column by column. Each g1t element receives
-				// the same single d1[r]*x[c] add per sample as the row-major
-				// loop did — only the (r, c) visit order changes, and every
-				// element is visited at most once per sample, so batch
-				// accumulation order per element is preserved exactly.
-				k := 0
+				// Layer 1's gradient is one dense rank-1 update, with the
+				// deltas of units the ReLU killed stored as exact +0. That
+				// changes no bit: g1t and gradB1 start at +0 each batch, a
+				// round-to-nearest sum with a +0 operand is never −0, and
+				// x is finite (epoch 0 rejected it otherwise), so each
+				// 0*x[c] = ±0 added leaves the sum as it was.
 				for r, v := range d1 {
 					if h1[r] <= 0 {
+						d1[r] = 0
 						continue
 					}
-					if v == 0 {
-						continue
-					}
-					d1nzIdx[k] = int32(r)
-					d1nzVal[k] = v
 					gradB1[r] += v
-					k++
 				}
-				nzIdx := d1nzIdx[:k]
-				nzVal := d1nzVal[:k]
-				scatterOuter(g1t, nzIdx, nzVal, x, in, h1n)
+				kernel.Rank1(g1t, d1, x)
 			}
 
 			// L2 decay + Adam updates. Elementwise math is layout-blind:
 			// layer 1 updates in place on the model's column-major weights,
 			// layer 2 on its row-major mirror, the rest on their vectors.
-			addL2(g1t, m.w1, m.cfg.L2)
-			optW1.step(m.w1, g1t, m.cfg.LR)
-			addL2(gradW2, w2r, m.cfg.L2)
-			optW2.step(w2r, gradW2, m.cfg.LR)
-			addL2(gradW3, m.w3, m.cfg.L2)
-			optW3.step(m.w3, gradW3, m.cfg.LR)
-			optB1.step(m.b1, gradB1, m.cfg.LR)
-			optB2.step(m.b2, gradB2, m.cfg.LR)
+			l2, lr := m.cfg.L2, m.cfg.LR
+			optW1.step(m.w1, g1t, lr, l2)
+			optW2.step(w2r, gradW2, lr, l2)
+			optW3.step(m.w3, gradW3, lr, l2)
+			optB1.step(m.b1, gradB1, lr, 0)
+			optB2.step(m.b2, gradB2, lr, 0)
 			b3 := [1]float64{m.b3}
-			optB3.step(b3[:], gradB3, m.cfg.LR)
+			optB3.step(b3[:], gradB3, lr, 0)
 			m.b3 = b3[0]
 			transpose(m.w2, w2r, h2n, h1n)
 		}
@@ -406,70 +359,16 @@ func (m *MLP) train(ctx context.Context, X []float64, n int, y []float64) (float
 	return lastLoss, nil
 }
 
-// colMajorAccum adds W·x into acc against the column-major weights wt
-// (in columns of len(acc), column c at wt[c*len(acc):]). Accumulator r
-// receives w[r][0]*x[0] + w[r][1]*x[1] + ... strictly in ascending column
-// order — a naive dot product's exact left-to-right association, so results
-// are bit-identical to it — but the columns advance len(acc) independent
-// dependency chains, and processing four columns per pass amortizes the
-// accumulator load/store and loop overhead across four multiply-adds.
-func colMajorAccum(acc, wt, x []float64, in int) {
-	n := len(acc)
-	c := 0
-	for ; c+4 <= in; c += 4 {
-		x0, x1, x2, x3 := x[c], x[c+1], x[c+2], x[c+3]
-		c0 := wt[(c+0)*n:][:n]
-		c1 := wt[(c+1)*n:][:n]
-		c2 := wt[(c+2)*n:][:n]
-		c3 := wt[(c+3)*n:][:n]
-		a := acc[:n]
-		for r := range a {
-			s := a[r] + c0[r]*x0
-			s += c1[r] * x1
-			s += c2[r] * x2
-			s += c3[r] * x3
-			a[r] = s
-		}
-	}
-	for ; c < in; c++ {
-		xc := x[c]
-		col := wt[c*n:][:n]
-		a := acc[:n]
-		for r := range a {
-			a[r] += col[r] * xc
-		}
-	}
-}
-
-// scatterOuter accumulates the outer product of the compacted deltas
-// (nzVal at rows nzIdx) and the input x into the column-major gradient tile
-// gt (in columns of width rows). Every gt element receives at most one
-// d*x add per sample — the same single add the row-major loop performed —
-// so batch accumulation order per element is unchanged; four input columns
-// per pass amortize the index and delta loads.
-func scatterOuter(gt []float64, nzIdx []int32, nzVal []float64, x []float64, in, rows int) {
-	c := 0
-	for ; c+4 <= in; c += 4 {
-		x0, x1, x2, x3 := x[c], x[c+1], x[c+2], x[c+3]
-		g0 := gt[(c+0)*rows:][:rows]
-		g1 := gt[(c+1)*rows:][:rows]
-		g2 := gt[(c+2)*rows:][:rows]
-		g3 := gt[(c+3)*rows:][:rows]
-		for j, r := range nzIdx {
-			v := nzVal[j]
-			g0[r] += v * x0
-			g1[r] += v * x1
-			g2[r] += v * x2
-			g3[r] += v * x3
-		}
-	}
-	for ; c < in; c++ {
-		xc := x[c]
-		col := gt[c*rows:][:rows]
-		for j, r := range nzIdx {
-			col[r] += nzVal[j] * xc
-		}
-	}
+// forward runs one input row through both hidden layers, leaving the ReLU
+// activations in h1 and h2, and returns the error probability.
+func (m *MLP) forward(x, h1, h2 []float64) float64 {
+	copy(h1, m.b1)
+	kernel.Accum(h1, m.w1, x)
+	relu(h1)
+	copy(h2, m.b2)
+	kernel.Accum(h2, m.w2, h1)
+	relu(h2)
+	return sigmoid(dotFrom(m.b3, m.w3, h2))
 }
 
 // transpose fills dst (a flat cols x rows matrix) with the transpose of
@@ -495,15 +394,6 @@ func zero(xs []float64) {
 	}
 }
 
-func addL2(grads, params []float64, l2 float64) {
-	if l2 == 0 {
-		return
-	}
-	for i := range grads {
-		grads[i] += l2 * params[i]
-	}
-}
-
 // Predict returns the error probability for a single feature vector. It is
 // allocation-free in steady state and safe for concurrent use.
 func (m *MLP) Predict(x []float64) float64 {
@@ -514,80 +404,20 @@ func (m *MLP) Predict(x []float64) float64 {
 
 // PredictInto runs batched inference over a flat row-major feature tile:
 // X holds nRows vectors of the model's input dimension back to back, and
-// out (length >= nRows) receives the error probability of each row. Rows
-// advance predictBlock at a time through the column-major weights, so each
-// weight load feeds a whole block of rows. The activation scratch is
+// out (length >= nRows) receives the error probability of each row. Each
+// row runs the same forward pass as training. The activation scratch is
 // pooled, so steady-state calls allocate nothing, and many goroutines may
 // score against one fitted model concurrently.
 func (m *MLP) PredictInto(X []float64, nRows int, out []float64) {
 	if nRows <= 0 {
 		return
 	}
-	in, h1n, h2n := m.in, m.cfg.Hidden1, m.cfg.Hidden2
+	in := m.in
 	sc := m.getScratch()
-	for r0 := 0; r0 < nRows; r0 += predictBlock {
-		nb := min(predictBlock, nRows-r0)
-		h1 := sc.h1[:nb*h1n]
-		h2 := sc.h2[:nb*h2n]
-		for b := 0; b < nb; b++ {
-			copy(h1[b*h1n:], m.b1)
-			copy(h2[b*h2n:], m.b2)
-		}
-		accumRows(h1, m.w1, X[r0*in:(r0+nb)*in], nb, in)
-		relu(h1)
-		accumRows(h2, m.w2, h1, nb, h1n)
-		relu(h2)
-		for b := 0; b < nb; b++ {
-			out[r0+b] = sigmoid(dotFrom(m.b3, m.w3, h2[b*h2n:(b+1)*h2n]))
-		}
+	for r := 0; r < nRows; r++ {
+		out[r] = m.forward(X[r*in:(r+1)*in], sc.h1, sc.h2)
 	}
 	m.scratch.Put(sc)
-}
-
-// accumRows adds W·x into each of nb (1 or predictBlock) rows'
-// accumulators: acc holds nb accumulator rows, X holds nb input rows of
-// width in, and wt is W column-major.
-func accumRows(acc, wt, X []float64, nb, in int) {
-	if nb == predictBlock {
-		blockAccum(acc, wt, X, in)
-		return
-	}
-	colMajorAccum(acc, wt, X, in)
-}
-
-// blockAccum is colMajorAccum for two rows at once: acc holds two
-// accumulator rows of width n = len(acc)/2 and X two input rows of width
-// in. Both rows share each four-column weight slice, so every weight load
-// feeds two rows, while each accumulator still receives its products in
-// ascending column order — bit-identical to colMajorAccum row by row.
-func blockAccum(acc, wt, X []float64, in int) {
-	n := len(acc) / 2
-	a0 := acc[:n]
-	a1 := acc[n:][:n]
-	x0 := X[:in]
-	x1 := X[in:][:in]
-	c := 0
-	for ; c+4 <= in; c += 4 {
-		w0 := wt[(c+0)*n:][:n]
-		w1 := wt[(c+1)*n:][:n]
-		w2 := wt[(c+2)*n:][:n]
-		w3 := wt[(c+3)*n:][:n]
-		p00, p01, p02, p03 := x0[c], x0[c+1], x0[c+2], x0[c+3]
-		p10, p11, p12, p13 := x1[c], x1[c+1], x1[c+2], x1[c+3]
-		for r := range a0 {
-			u0, u1, u2, u3 := w0[r], w1[r], w2[r], w3[r]
-			a0[r] = a0[r] + u0*p00 + u1*p01 + u2*p02 + u3*p03
-			a1[r] = a1[r] + u0*p10 + u1*p11 + u2*p12 + u3*p13
-		}
-	}
-	for ; c < in; c++ {
-		w := wt[c*n:][:n]
-		v0, v1 := x0[c], x1[c]
-		for r, u := range w {
-			a0[r] += u * v0
-			a1[r] += u * v1
-		}
-	}
 }
 
 // relu clamps negative activations to zero in place.

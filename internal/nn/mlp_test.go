@@ -243,6 +243,25 @@ func BenchmarkTrainSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkTrain is one epoch on a Hospital-shaped training set: about
+// 25k rows of 150 features through 64/32 hidden units.
+func BenchmarkTrain(b *testing.B) {
+	const n, in = 25000, 150
+	tile, y := synthTrainingSet(n, in, 1)
+	cfg := DefaultConfig()
+	cfg.Epochs = 1
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := New(in, cfg).Train(context.Background(), tile, n, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// predictBlock sets the batch sizes TestPredictIntoMatchesReference
+// sweeps: every nRows from 1 to 2*predictBlock+1.
+const predictBlock = 2
+
 func BenchmarkPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	X, y := xorData(rng, 100)

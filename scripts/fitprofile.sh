@@ -18,9 +18,9 @@ go run ./cmd/benchjson -iters "$ITERS" -run 'fit-only' \
   -cpuprofile default.pgo -out "$OUT"
 
 # Sanity: the profile must parse and must still mention the training
-# kernel that PGO exists to speed up.
+# kernel that PGO exists to speed up (the AVX2 multiply-accumulate body).
 go tool pprof -top -nodecount=8 default.pgo
-go tool pprof -top -nodecount=200 default.pgo | grep -q 'colMajorAccum' \
-  || { echo "fitprofile: profile looks stale — colMajorAccum not among samples"; exit 1; }
+go tool pprof -top -nodecount=200 default.pgo | grep -q 'accumAVX2' \
+  || { echo "fitprofile: profile looks stale — accumAVX2 not among samples"; exit 1; }
 
 echo "fitprofile: wrote default.pgo"
