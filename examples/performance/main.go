@@ -56,7 +56,7 @@ func main() {
 	mlp := nn.New(dim, nn.Config{Epochs: 2, Seed: 1})
 	X := make([]float64, 2*dim) // two training rows, back to back
 	X[dim] = 1
-	if _, err := mlp.Train(ctx, X, 2, []float64{0, 1}); err != nil {
+	if _, err := mlp.Train(ctx, X, 2, []float64{0, 1}, 0); err != nil {
 		log.Fatal(err)
 	}
 
@@ -65,11 +65,4 @@ func main() {
 		mlp.PredictInto(tile, m, scores) // batched inference over the tile
 		fmt.Printf("row %d scores: %.3f...\n", i, scores[:min(3, m)])
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -19,7 +19,7 @@ func TestTrainRejectsNonFiniteFeatures(t *testing.T) {
 		m := New(3, guardCfg())
 		X := []float64{1, 2, 3, 4, bad, 6}
 		y := []float64{0, 1}
-		if _, err := m.Train(context.Background(), X, 2, y); err == nil {
+		if _, err := m.Train(context.Background(), X, 2, y, 0); err == nil {
 			t.Errorf("Train with feature %v must error", bad)
 		} else if !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("error %q should name the non-finite input", err)
@@ -33,7 +33,7 @@ func TestTrainRejectsNonFiniteFeatures(t *testing.T) {
 // TestTrainRejectsNonFiniteLabels mirrors the feature guard on y.
 func TestTrainRejectsNonFiniteLabels(t *testing.T) {
 	m := New(2, guardCfg())
-	if _, err := m.Train(context.Background(), []float64{1, 2, 3, 4}, 2, []float64{0, math.NaN()}); err == nil {
+	if _, err := m.Train(context.Background(), []float64{1, 2, 3, 4}, 2, []float64{0, math.NaN()}, 0); err == nil {
 		t.Fatal("Train with a NaN label must error")
 	}
 	if m.Trained() {
@@ -51,7 +51,7 @@ func TestTrainAbortsOnDivergedLoss(t *testing.T) {
 	m := New(2, cfg)
 	X := []float64{1e8, -1e8, -1e8, 1e8, 1e8, 1e8, -1e8, -1e8}
 	y := []float64{0, 1, 0, 1}
-	_, err := m.Train(context.Background(), X, 4, y)
+	_, err := m.Train(context.Background(), X, 4, y, 0)
 	if err == nil {
 		t.Skip("this configuration converged finitely; guard not exercised")
 	}
@@ -69,7 +69,7 @@ func TestTrainContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := New(2, guardCfg())
-	_, err := m.Train(ctx, []float64{1, 2, 3, 4}, 2, []float64{0, 1})
+	_, err := m.Train(ctx, []float64{1, 2, 3, 4}, 2, []float64{0, 1}, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Train with canceled ctx = %v, want context.Canceled", err)
 	}

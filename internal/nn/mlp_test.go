@@ -2,6 +2,7 @@ package nn
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -15,7 +16,7 @@ func trainRows(m *MLP, X [][]float64, y []float64) (float64, error) {
 	for _, x := range X {
 		tile = append(tile, x...)
 	}
-	return m.Train(context.Background(), tile, len(X), y)
+	return m.Train(context.Background(), tile, len(X), y, 0)
 }
 
 // xorData builds the classic non-linearly-separable XOR problem with noise,
@@ -76,6 +77,9 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
+// TestDeterministicTraining trains twice with one seed, the second time
+// offering a helper (which two input columns admit): same loss, same
+// predictions.
 func TestDeterministicTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	X, y := xorData(rng, 100)
@@ -84,7 +88,11 @@ func TestDeterministicTraining(t *testing.T) {
 	a := New(2, cfg)
 	b := New(2, cfg)
 	la, _ := trainRows(a, X, y)
-	lb, _ := trainRows(b, X, y)
+	var tile []float64
+	for _, x := range X {
+		tile = append(tile, x...)
+	}
+	lb, _ := b.Train(context.Background(), tile, len(X), y, 1)
 	if la != lb {
 		t.Errorf("same seed must give identical loss: %v vs %v", la, lb)
 	}
@@ -244,17 +252,22 @@ func BenchmarkTrainSmall(b *testing.B) {
 }
 
 // BenchmarkTrain is one epoch on a Hospital-shaped training set: about
-// 25k rows of 150 features through 64/32 hidden units.
+// 25k rows of 150 features through 64/32 hidden units, trained alone
+// (helpers=0) and with one helper (helpers=1, clamped to GOMAXPROCS-1).
 func BenchmarkTrain(b *testing.B) {
 	const n, in = 25000, 150
 	tile, y := synthTrainingSet(n, in, 1)
 	cfg := DefaultConfig()
 	cfg.Epochs = 1
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := New(in, cfg).Train(context.Background(), tile, n, y); err != nil {
-			b.Fatal(err)
-		}
+	for _, helpers := range []int{0, 1} {
+		b.Run(fmt.Sprintf("helpers=%d", helpers), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := New(in, cfg).Train(context.Background(), tile, n, y, helpers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

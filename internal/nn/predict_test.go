@@ -55,7 +55,7 @@ func TestPredictIntoMatchesReference(t *testing.T) {
 		cfg := Config{Hidden1: sh.h1, Hidden2: sh.h2, LR: 1e-2, Epochs: 3, BatchSize: 16, Seed: 5, L2: 1e-5}
 
 		viaTrain := New(sh.in, cfg)
-		if _, err := viaTrain.Train(context.Background(), flat, n, y); err != nil {
+		if _, err := viaTrain.Train(context.Background(), flat, n, y, 0); err != nil {
 			t.Fatal(err)
 		}
 		viaSnap, err := FromSnapshot(viaTrain.Snapshot())

@@ -104,6 +104,6 @@ func FromSnapshot(s *Snapshot) (*MLP, error) {
 // back.
 func transposed(src []float64, rows, cols int) []float64 {
 	dst := make([]float64, len(src))
-	transpose(dst, src, rows, cols)
+	transpose(dst, src, rows, cols, 0, rows)
 	return dst
 }

@@ -138,6 +138,7 @@ func (dt *Detector) FitOn(ctx context.Context, p *Pool, d *table.Dataset) (*Mode
 	var flatX []float64
 	var nTrain int
 	var yTrain []float64
+	var trainHelpers int
 	stages := []struct {
 		name string
 		fn   func() error
@@ -149,7 +150,7 @@ func (dt *Detector) FitOn(ctx context.Context, p *Pool, d *table.Dataset) (*Mode
 		{"matrix", func() error { flatX, nTrain, yTrain = e.stageTrainingMatrix(); return nil }},
 		{"train", func() error {
 			var err error
-			mlp, err = e.stageTrain(flatX, nTrain, yTrain)
+			mlp, trainHelpers, err = e.stageTrain(flatX, nTrain, yTrain)
 			return err
 		}},
 	}
@@ -167,6 +168,9 @@ func (dt *Detector) FitOn(ctx context.Context, p *Pool, d *table.Dataset) (*Mode
 			return nil, err
 		}
 		runtime.ReadMemStats(&ms1)
+		if stage.name == "train" {
+			span.SetInt("helpers", int64(trainHelpers))
+		}
 		span.End()
 		// The span and the StageTiming record the same phase: the timing
 		// keeps feeding FitInfo.Stages (benchjson fit_stages, the
@@ -412,15 +416,22 @@ func (e *engine) stageTrainingMatrix() ([]float64, int, []float64) {
 // (Step 4's training half; scoring lives on the fitted Model). Degenerate
 // labeling (all clean or all dirty) yields no trainable signal and returns
 // a nil model — the Model falls back to the propagated labels themselves.
-func (e *engine) stageTrain(flatX []float64, n int, y []float64) (*nn.MLP, error) {
+//
+// Training borrows whatever helper tokens the pool has free, up to what
+// nn can use, and holds them until it returns; a busy pool trains on the
+// calling goroutine alone, with the same bits. It returns the helper
+// count alongside the model.
+func (e *engine) stageTrain(flatX []float64, n int, y []float64) (*nn.MLP, int, error) {
 	if !hasBothClasses(y) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	mlp := nn.New(e.ext.Dim(), e.cfg.MLP)
-	if _, err := mlp.Train(e.ctx, flatX, n, y); err != nil {
-		return nil, fmt.Errorf("zeroed: training detector: %w", err)
+	helpers := e.pool.lend(mlp.MaxHelpers(n))
+	defer e.pool.giveBack(helpers)
+	if _, err := mlp.Train(e.ctx, flatX, n, y, helpers); err != nil {
+		return nil, helpers, fmt.Errorf("zeroed: training detector: %w", err)
 	}
-	return mlp, nil
+	return mlp, helpers, nil
 }
 
 // rowRange is one contiguous scoring shard.

@@ -8,10 +8,10 @@ import (
 
 // Pool is the one bounded worker budget shared by every stage of the
 // detection engine. A single pool spans criteria generation, sampling and
-// labeling, training-data construction, feature building, and sharded
-// scoring — and, through DetectBatch, all of those stages across several
-// concurrent dataset runs — so nested fan-out never oversubscribes the
-// machine beyond its worker count. Callers that multiplex many runs
+// labeling, training-data construction, feature building, detector
+// training, and sharded scoring — and, through DetectBatch, all of those
+// stages across several concurrent dataset runs — so nested fan-out never
+// oversubscribes the machine beyond its worker count. Callers that multiplex many runs
 // arriving over time (a serving process admitting jobs, for example) pass
 // one machine-wide pool to the *On calls (Detector.DetectOn and FitOn,
 // Model.ScoreOn and ScoreRowsOn); a nil *Pool passed to any of them means a
@@ -24,6 +24,12 @@ import (
 // token, arbitrarily nested forN calls (a batch of engines, each running
 // staged fan-outs) cannot deadlock; when the budget is exhausted the inner
 // loops simply degrade to serial execution on their callers.
+//
+// Training takes its helpers the same way, but for its whole run: lend
+// grabs free tokens without blocking, up to what nn can use (one today),
+// nn.Train runs a helper goroutine per token, and giveBack returns them
+// when it ends. A busy pool lends none, and training runs on its caller
+// alone.
 //
 // The pool imposes no ordering: correctness relies on the engine's
 // determinism contract — every unit of work writes disjoint slots and draws
@@ -93,4 +99,24 @@ spawn:
 	}
 	run()
 	wg.Wait()
+}
+
+// lend takes up to n free helper tokens without blocking and returns how
+// many it got; the borrower returns them with giveBack when it is done.
+func (p *Pool) lend(n int) int {
+	for got := 0; got < n; got++ {
+		select {
+		case p.tokens <- struct{}{}:
+		default:
+			return got
+		}
+	}
+	return n
+}
+
+// giveBack returns n tokens taken by lend.
+func (p *Pool) giveBack(n int) {
+	for ; n > 0; n-- {
+		<-p.tokens
+	}
 }

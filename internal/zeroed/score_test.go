@@ -59,7 +59,7 @@ func scorerFixture(t testing.TB, dedup bool) (*shardScorer, int) {
 	}
 	cfg := nn.Config{Hidden1: 8, Hidden2: 4, Epochs: 2, Seed: 1}
 	mlp := nn.New(dim, cfg)
-	if _, err := mlp.Train(context.Background(), X, nTrain, y); err != nil {
+	if _, err := mlp.Train(context.Background(), X, nTrain, y, 0); err != nil {
 		t.Fatal(err)
 	}
 	n, m := d.NumRows(), d.NumCols()

@@ -8,6 +8,8 @@ package zeroed
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/obs"
@@ -51,6 +53,12 @@ func TestTraceOnOffBitIdentical(t *testing.T) {
 					if tree.Find(want) == nil {
 						t.Fatalf("span %q missing from trace", want)
 					}
+				}
+				// Training borrows every free token its team can use, and
+				// nn caps the team at one helper.
+				wantHelpers := strconv.Itoa(min(workers, runtime.GOMAXPROCS(0), 2) - 1)
+				if got := tree.Find("fit.train").Attrs["helpers"]; got != wantHelpers {
+					t.Errorf("fit.train helpers = %q, want %q", got, wantHelpers)
 				}
 			})
 		}
