@@ -278,35 +278,8 @@ func BenchmarkDetectBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkZeroEDPipeline measures one end-to-end detection run, the
-// number most users care about.
-func BenchmarkZeroEDPipeline(b *testing.B) {
-	bench := datasets.Hospital(500, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := zeroed.New(zeroed.Config{Seed: 3}).DetectOn(context.Background(), nil, bench.Dirty); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkZeroEDPipelineDedupOff is the same run with the scoring dedup
-// cache disabled; the delta vs BenchmarkZeroEDPipeline isolates what
-// dedup-by-value-ID buys (results are bit-identical either way, pinned by
-// TestScoreDedupEquivalence).
-func BenchmarkZeroEDPipelineDedupOff(b *testing.B) {
-	bench := datasets.Hospital(500, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := zeroed.New(zeroed.Config{Seed: 3, DisableScoreDedup: true}).DetectOn(context.Background(), nil, bench.Dirty); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFMEDPipeline measures the per-tuple baseline for comparison.
+// BenchmarkFMEDPipeline measures the per-tuple FMED baseline end to end on
+// a Hospital(500) table.
 func BenchmarkFMEDPipeline(b *testing.B) {
 	bench := datasets.Hospital(500, 3)
 	b.ResetTimer()

@@ -12,8 +12,9 @@
 // -model-in for producing and consuming fitted-model artifacts),
 // cmd/zeroedd (the HTTP/JSON detection service over internal/serve,
 // including the /v1/models registry for fit-once/score-forever online
-// scoring), cmd/experiments (paper tables and figures), cmd/datagen
-// (benchmark CSV export), and cmd/benchjson (scaling benchmarks as JSON).
+// scoring), cmd/experiments (paper tables and figures), and cmd/datagen
+// (benchmark CSV export). The layered benchmark is the separate perfbench
+// module, run through perfbench/run.sh.
 //
 // The pipeline itself is split across internal/zeroed (FitOn: the
 // expensive induction/labeling/training phase, returning a reusable Model;
@@ -29,8 +30,9 @@
 //
 // The fit phase is instrumented and optimized like the scoring phase
 // before it: FitInfo.Stages reports wall-clock and allocation per
-// pipeline stage (surfaced by cmd/benchjson as fit_stages and by the
-// service as zeroedd_fit_stage_seconds), criteria verification and
+// pipeline stage, measured once by the stage's obs phase span (surfaced
+// by perfbench as zeroed.fit.<stage>_ms and by the service as
+// zeroedd_fit_stage_seconds), criteria verification and
 // guideline labeling are value-ID-deduplicated (criteria.SetMemo,
 // llm.JudgeMemo; Config.DisableFitDedup is the escape hatch, with
 // on≡off bit-identity pinned by TestFitDedupEquivalence), the MLP

@@ -19,6 +19,11 @@
 //	defer sp.End()
 //	sp.SetInt("rows", int64(n))
 //
+// A caller that needs the numbers whether or not tracing is on (the fit's
+// per-stage breakdown) opens the span with StartPhase instead: End returns
+// the wall time and allocation delta it records, so one measurement feeds
+// both the trace and the caller.
+//
 // All Span and Trace methods are nil-safe, so call sites never branch on
 // whether tracing is live. A Trace renders as a JSON span tree (Tree) or as
 // Chrome trace_event JSON (WriteChrome) loadable in chrome://tracing.
@@ -49,10 +54,9 @@ func Enabled() bool { return enabled.Load() }
 const maxSpans = 4096
 
 // allocSample reads the runtime's cumulative heap-allocation counter —
-// /gc/heap/allocs:bytes — which is monotone and far cheaper than a full
-// ReadMemStats. The delta across a span is process-wide: concurrent spans
-// attribute each other's allocations, the same approximation the fit-stage
-// timings have always made.
+// /gc/heap/allocs:bytes — which is monotone and, unlike ReadMemStats, does
+// not stop the world. The delta across a span is process-wide: concurrent
+// spans attribute each other's allocations.
 func allocSample() uint64 {
 	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	metrics.Read(s)
@@ -71,6 +75,8 @@ type Attr struct {
 // Span is one named phase inside a trace. Mutation (children, attrs, End)
 // is serialized by the owning trace's mutex — span churn is per stage or
 // per request phase, tens of operations per request, so one lock is cheap.
+// A detached span (tr == nil, from StartPhase with no live trace) belongs
+// to one goroutine: it measures, and its attributes are dropped.
 type Span struct {
 	tr       *Trace
 	name     string
@@ -127,11 +133,16 @@ func NewTrace(ctx context.Context, name string) (context.Context, *Trace) {
 	if !enabled.Load() {
 		return ctx, nil
 	}
-	now := time.Now()
-	t := &Trace{name: name, start: now}
-	t.root = &Span{tr: t, name: name, start: now, alloc0: allocSample()}
-	t.spans = 1
+	t := &Trace{name: name, spans: 1}
+	t.root = newSpan(t, name)
+	t.start = t.root.start
 	return ContextWithSpan(ctx, t.root), t
+}
+
+// newSpan opens a span of trace t (nil: detached), reading the wall clock
+// and the allocation counter that End reads again.
+func newSpan(t *Trace, name string) *Span {
+	return &Span{tr: t, name: name, start: time.Now(), alloc0: allocSample()}
 }
 
 // Start opens a child span under the context's current span and returns a
@@ -139,48 +150,75 @@ func NewTrace(ctx context.Context, name string) (context.Context, *Trace) {
 // its span cap all return (ctx, nil); the nil span's methods are no-ops, so
 // call sites stay branch-free.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
+	if s := child(ctx, name); s != nil {
+		return ContextWithSpan(ctx, s), s
+	}
+	return ctx, nil
+}
+
+// StartPhase opens a phase that is measured whether or not tracing is on.
+// Under a live trace it is the child span Start would open; otherwise it is
+// a detached span that belongs to no trace. Either way it is never nil, and
+// its End returns what it measured. No context is returned: work inside the
+// phase keeps starting its spans under ctx's span.
+func StartPhase(ctx context.Context, name string) *Span {
+	if s := child(ctx, name); s != nil {
+		return s
+	}
+	return newSpan(nil, name)
+}
+
+// child opens a span under the context's current span. It returns nil when
+// tracing is disabled, the context carries no span, or the trace is at its
+// span cap.
+func child(ctx context.Context, name string) *Span {
 	if !enabled.Load() {
-		return ctx, nil
+		return nil
 	}
 	parent := FromContext(ctx)
 	if parent == nil || parent.tr == nil {
-		return ctx, nil
+		return nil
 	}
 	t := parent.tr
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.spans >= maxSpans {
-		t.mu.Unlock()
-		return ctx, nil
+		return nil
 	}
 	t.spans++
-	s := &Span{tr: t, name: name, start: time.Now(), alloc0: allocSample()}
+	s := newSpan(t, name)
 	parent.children = append(parent.children, s)
-	t.mu.Unlock()
-	return ContextWithSpan(ctx, s), s
+	return s
 }
 
-// End closes the span, recording its wall time and allocation delta.
-// Ending twice keeps the first measurement.
-func (s *Span) End() {
+// End closes the span and returns its wall time and allocation delta, the
+// numbers the trace records for it. Ending twice keeps and returns the
+// first measurement; a nil span returns zeros.
+func (s *Span) End() (time.Duration, uint64) {
 	if s == nil {
-		return
+		return 0, 0
 	}
 	dur := time.Since(s.start)
-	alloc := allocSample()
-	s.tr.mu.Lock()
+	var alloc uint64
+	if a := allocSample(); a >= s.alloc0 {
+		alloc = a - s.alloc0
+	}
+	if s.tr != nil {
+		s.tr.mu.Lock()
+		defer s.tr.mu.Unlock()
+	}
 	if !s.ended {
 		s.ended = true
 		s.dur = dur
-		if alloc >= s.alloc0 {
-			s.alloc = alloc - s.alloc0
-		}
+		s.alloc = alloc
 	}
-	s.tr.mu.Unlock()
+	return s.dur, s.alloc
 }
 
-// SetAttr annotates the span with a key/value pair.
+// SetAttr annotates the span with a key/value pair. A detached span drops
+// it.
 func (s *Span) SetAttr(key, value string) {
-	if s == nil {
+	if s == nil || s.tr == nil {
 		return
 	}
 	s.tr.mu.Lock()

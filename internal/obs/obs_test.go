@@ -82,6 +82,54 @@ func TestSpanTreeShape(t *testing.T) {
 	})
 }
 
+// TestPhaseMeasuresOnce pins StartPhase's contract: under a live trace the
+// numbers End returns are exactly the ones the span's node records (one
+// measurement, two readers), ending twice returns the first measurement,
+// and with tracing off the phase still measures but creates no span.
+func TestPhaseMeasuresOnce(t *testing.T) {
+	withTracing(t, func() {
+		ctx, tr := NewTrace(context.Background(), "fit")
+		ph := StartPhase(ctx, "fit.train")
+		ph.SetInt("helpers", 1)
+		buf := make([]byte, 1<<20)
+		buf[0] = 1
+		time.Sleep(time.Millisecond)
+		d, alloc := ph.End()
+		if d2, alloc2 := ph.End(); d2 != d || alloc2 != alloc {
+			t.Fatalf("second End = (%v, %d), want the first (%v, %d)", d2, alloc2, d, alloc)
+		}
+		tr.Finish()
+		node := tr.Tree().Find("fit.train")
+		if node == nil {
+			t.Fatalf("phase span missing from trace")
+		}
+		if node.DurUS != d.Microseconds() || node.AllocBytes != alloc {
+			t.Fatalf("span dur_us=%d alloc=%d, phase returned dur_us=%d alloc=%d",
+				node.DurUS, node.AllocBytes, d.Microseconds(), alloc)
+		}
+		if d < time.Millisecond || alloc < 1<<20 {
+			t.Fatalf("phase measured (%v, %d), want >= 1ms and >= 1 MiB", d, alloc)
+		}
+		if node.Attrs["helpers"] != "1" {
+			t.Fatalf("phase attrs = %v", node.Attrs)
+		}
+	})
+
+	SetEnabled(false)
+	ctx, tr := NewTrace(context.Background(), "fit")
+	ph := StartPhase(ctx, "fit.train")
+	if ph == nil {
+		t.Fatalf("StartPhase returned nil while tracing is off")
+	}
+	ph.SetInt("helpers", 1) // dropped, not a panic
+	if d, _ := ph.End(); d < 0 {
+		t.Fatalf("untraced phase duration = %v", d)
+	}
+	if tr != nil || TraceFromContext(ctx) != nil {
+		t.Fatalf("untraced phase created a trace")
+	}
+}
+
 func TestConcurrentSpans(t *testing.T) {
 	withTracing(t, func() {
 		ctx, tr := NewTrace(context.Background(), "parallel")

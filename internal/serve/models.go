@@ -461,9 +461,7 @@ func (s *Server) handleModelFit(w http.ResponseWriter, r *http.Request) {
 		writeBusy(w, r, "busy_fitting", "too many fits in flight, retry later", retryAfterFit)
 		return
 	}
-	start := time.Now()
 	m, err := s.fitModel(r, cfg, ds)
-	fitDur := time.Since(start) // the fit phase alone, not encode/persist
 	if err != nil {
 		switch s.classifyFailure(r) {
 		case failDeadline:
@@ -515,7 +513,7 @@ func (s *Server) handleModelFit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.modelsFitted.Add(1)
 	s.met.fitRuns.Add(1)
-	s.met.fitNanos.Add(int64(fitDur))
+	s.met.fitNanos.Add(int64(m.Info().FitRuntime)) // the fit alone, not encode/persist
 	s.met.addFitStages(m.Info().Stages)
 	out := e.status()
 	if wantTrace(r) {

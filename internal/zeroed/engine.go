@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 
@@ -155,31 +154,23 @@ func (dt *Detector) FitOn(ctx context.Context, p *Pool, d *table.Dataset) (*Mode
 		}},
 	}
 	timings := make([]StageTiming, 0, len(stages))
-	var ms0, ms1 runtime.MemStats
 	for _, stage := range stages {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("zeroed: detection canceled: %w", err)
 		}
-		_, span := obs.Start(ctx, "fit."+stage.name)
-		runtime.ReadMemStats(&ms0)
-		t0 := time.Now()
+		// One measurement per stage: the phase's span feeds the trace tree,
+		// and the numbers its End returns feed FitInfo.Stages (perfbench's
+		// per-stage metrics, the zeroedd_fit_stage_seconds family).
+		phase := obs.StartPhase(ctx, "fit."+stage.name)
 		if err := stage.fn(); err != nil {
-			span.End()
+			phase.End()
 			return nil, err
 		}
-		runtime.ReadMemStats(&ms1)
 		if stage.name == "train" {
-			span.SetInt("helpers", int64(trainHelpers))
+			phase.SetInt("helpers", int64(trainHelpers))
 		}
-		span.End()
-		// The span and the StageTiming record the same phase: the timing
-		// keeps feeding FitInfo.Stages (benchjson fit_stages, the
-		// zeroedd_fit_stage_seconds family), the span feeds the trace tree.
-		timings = append(timings, StageTiming{
-			Name:       stage.name,
-			Seconds:    time.Since(t0).Seconds(),
-			AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
-		})
+		d, alloc := phase.End()
+		timings = append(timings, StageTiming{Name: stage.name, Seconds: d.Seconds(), AllocBytes: alloc})
 	}
 	// A stage interrupted mid-flight leaves partial state; surface the
 	// cancellation rather than a half-fitted model.

@@ -72,7 +72,8 @@ type FitInfo struct {
 
 // StageTiming records the wall-clock duration and allocation volume of one
 // fit pipeline stage. AllocBytes is the runtime's cumulative-allocation
-// delta across the stage (bytes allocated, not bytes retained).
+// delta across the stage (bytes allocated, not bytes retained). Both are
+// the numbers the stage's fit.<stage> span records when tracing is on.
 type StageTiming struct {
 	Name       string
 	Seconds    float64
