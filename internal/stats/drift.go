@@ -147,13 +147,14 @@ func (t *DriftTracker) Gauges() DriftGauges {
 	return g
 }
 
-// Trip reports whether the stream has drifted past threshold: at least
+// Trip reports whether the reading has drifted past threshold: at least
 // minRows rows observed, and either gauge above the threshold. A
 // non-positive threshold disables tripping (the gauges keep accumulating).
-func (t *DriftTracker) Trip(threshold float64, minRows int) bool {
-	if threshold <= 0 || t.obsRows < minRows {
+// Deciding from a reading lets a caller that already holds one skip a
+// second walk of the fit-time dictionaries.
+func (g DriftGauges) Trip(threshold float64, minRows int) bool {
+	if threshold <= 0 || g.Rows < minRows {
 		return false
 	}
-	g := t.Gauges()
 	return g.UnseenRate > threshold || g.Shift > threshold
 }

@@ -50,7 +50,7 @@ func TestDriftTrackerIdenticalStream(t *testing.T) {
 	if g.Shift > 1e-12 {
 		t.Fatalf("identical stream shift = %g, want 0", g.Shift)
 	}
-	if tr.Trip(0.1, 1) {
+	if tr.Gauges().Trip(0.1, 1) {
 		t.Fatal("identical stream must not trip")
 	}
 }
@@ -71,13 +71,13 @@ func TestDriftTrackerDisjointStream(t *testing.T) {
 	if math.Abs(g.Shift-1) > 1e-12 {
 		t.Fatalf("disjoint shift = %g, want 1", g.Shift)
 	}
-	if !tr.Trip(0.5, 10) {
+	if !tr.Gauges().Trip(0.5, 10) {
 		t.Fatal("disjoint stream must trip at threshold 0.5")
 	}
-	if tr.Trip(0.5, 11) {
+	if tr.Gauges().Trip(0.5, 11) {
 		t.Fatal("minRows must gate the trip")
 	}
-	if tr.Trip(0, 1) {
+	if tr.Gauges().Trip(0, 1) {
 		t.Fatal("non-positive threshold must disable tripping")
 	}
 }

@@ -9,9 +9,10 @@ import (
 // with extra columns a model was never fitted on. MapColumns projects an
 // upload header that is a superset and/or permutation of a model's schema
 // onto that schema, so score/stream/repair requests bind to the model's
-// dictionary-seeded dataset (NewFromDicts) without demanding byte-equal
-// headers. Missing schema columns are a typed error (*MissingColumnsError);
-// extra upload columns are dropped and reported in ColumnMapping.Dropped.
+// dictionary-seeded dataset (a Derive of its NewFromDicts dataset) without
+// demanding byte-equal headers. Missing schema columns are a typed error
+// (*MissingColumnsError); extra upload columns are dropped and reported in
+// ColumnMapping.Dropped.
 
 // MissingColumnsError reports schema columns the upload header lacks.
 type MissingColumnsError struct {

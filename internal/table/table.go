@@ -17,8 +17,8 @@ package table
 
 import (
 	"fmt"
+	"maps"
 	"strings"
-	"sync/atomic"
 )
 
 // Cell identifies one cell of a dataset by row and column index.
@@ -28,20 +28,33 @@ type Cell struct {
 }
 
 // column is one dictionary-encoded attribute: ids[i] indexes into dict,
-// and index is the reverse mapping used for interning. The dict is
+// and base plus index are the reverse mapping used for interning. base is
+// a frozen index of a dictionary prefix (NewFromDicts builds it), shared by
+// every dataset derived from that one and never written; index is this
+// dataset's own overlay of the values interned past it. The dict is
 // append-only: overwriting a cell never removes the old value's entry, so
 // IDs handed out earlier stay valid for the dataset's lifetime.
 type column struct {
 	ids   []uint32
 	dict  []string
+	base  map[string]uint32
 	index map[string]uint32
+}
+
+// lookup returns the ID of v, checking the shared base before the overlay.
+func (c *column) lookup(v string) (uint32, bool) {
+	if id, ok := c.base[v]; ok {
+		return id, true
+	}
+	id, ok := c.index[v]
+	return id, ok
 }
 
 // intern returns the ID for v, adding it to the pool on first sight. The
 // pooled copy is cloned so a dict entry never pins the caller's backing
 // buffer (streamed CSV records keep whole lines alive otherwise).
 func (c *column) intern(v string) uint32 {
-	if id, ok := c.index[v]; ok {
+	if id, ok := c.lookup(v); ok {
 		return id
 	}
 	v = strings.Clone(v)
@@ -55,16 +68,14 @@ func (c *column) intern(v string) uint32 {
 }
 
 // clone deep-copies the column; the clone's pool evolves independently.
+// The frozen base is shared, only the overlay is copied.
 func (c *column) clone() column {
-	out := column{
+	return column{
 		ids:   append([]uint32(nil), c.ids...),
 		dict:  append([]string(nil), c.dict...),
-		index: make(map[string]uint32, len(c.index)),
+		base:  c.base,
+		index: maps.Clone(c.index),
 	}
-	for v, id := range c.index {
-		out.index[v] = id
-	}
-	return out
 }
 
 // Dataset is a dirty or clean relational table. All values are strings;
@@ -76,15 +87,6 @@ type Dataset struct {
 
 	cols  []column
 	nrows int
-
-	// published is the safe cross-goroutine handoff point for snapshots of
-	// a growing dataset: the appending goroutine stores a fresh Snapshot
-	// through PublishSnapshot, and any other goroutine loads the latest one
-	// through LatestSnapshot. The atomic pointer is the publication fence —
-	// a plain reader-side Snapshot() call races with appends (slice headers
-	// and lengths are read unsynchronized), which is exactly the pattern
-	// this field exists to replace.
-	published atomic.Pointer[Dataset]
 }
 
 // New creates an empty dataset with the given schema.
@@ -107,11 +109,13 @@ func NewWithCapacity(name string, attrs []string, rows int) *Dataset {
 // NewFromDicts creates an empty dataset whose per-column intern pools are
 // pre-seeded with the given dictionaries: value ID id of column j is
 // dicts[j][id], exactly as in the dataset the dictionaries were captured
-// from. Rows appended afterwards intern seen values to their original IDs
-// and unseen values to fresh IDs past the seed — the binding step of scoring
-// new data against a fitted model's artifact. The dict slices are reused
-// with their capacity clamped, so appending new values never mutates the
-// caller's backing arrays.
+// from. Each dictionary is validated and indexed once, into the column's
+// frozen base; the dict slices are reused with their capacity clamped, so
+// neither that index nor the caller's backing arrays are ever written. A
+// fitted model builds one such dataset when it is fitted or loaded, and
+// each scoring call binds a Derive of it — seen values intern to their
+// fit-time IDs, unseen values to fresh IDs past the seed — at O(columns)
+// per call rather than O(dictionary).
 //
 // A dictionary with duplicate entries or more than MaxUint32 values cannot
 // have come from an intern pool and is rejected.
@@ -124,16 +128,32 @@ func NewFromDicts(name string, attrs []string, dicts [][]string) (*Dataset, erro
 		if len(dict) > 1<<32-1 {
 			return nil, fmt.Errorf("table: column %d dictionary has %d entries, exceeding the uint32 ID space", j, len(dict))
 		}
-		index := make(map[string]uint32, len(dict))
+		base := make(map[string]uint32, len(dict))
 		for id, v := range dict {
-			if _, dup := index[v]; dup {
+			if _, dup := base[v]; dup {
 				return nil, fmt.Errorf("table: column %d dictionary has duplicate entry %q", j, v)
 			}
-			index[v] = uint32(id)
+			base[v] = uint32(id)
 		}
-		d.cols[j] = column{dict: dict[:len(dict):len(dict)], index: index}
+		d.cols[j] = column{dict: dict[:len(dict):len(dict)], base: base}
 	}
 	return d, nil
+}
+
+// Derive returns an empty dataset named name over d's schema and
+// dictionaries: rows appended to it intern values d has seen to d's IDs and
+// unseen values to fresh IDs past d's pool, without touching d. It shares
+// d's frozen base index and capacity-clamped dict and copies only d's
+// overlay, so deriving from a rows-free NewFromDicts dataset costs
+// O(columns) however large the dictionaries are. Safe to call
+// concurrently on a d nobody appends to.
+func (d *Dataset) Derive(name string) *Dataset {
+	c := &Dataset{Name: name, Attrs: d.Attrs, cols: make([]column, len(d.cols))}
+	for j := range d.cols {
+		src := &d.cols[j]
+		c.cols[j] = column{dict: src.dict[:len(src.dict):len(src.dict)], base: src.base, index: maps.Clone(src.index)}
+	}
+	return c
 }
 
 // NumRows returns the number of tuples.
@@ -179,8 +199,7 @@ func (d *Dataset) Dict(col int) []string { return d.cols[col].dict }
 // LookupID returns the ID of v in the column's pool, if v has ever been
 // written to the column.
 func (d *Dataset) LookupID(col int, v string) (uint32, bool) {
-	id, ok := d.cols[col].index[v]
-	return id, ok
+	return d.cols[col].lookup(v)
 }
 
 // ColumnIDs returns the column's value IDs, indexed by row. The slice is
@@ -274,51 +293,30 @@ func (d *Dataset) Clone() *Dataset {
 // stays consistent while the original keeps growing through AppendRow (the
 // streaming-load path): the view shares the column ID and dict storage but
 // fixes its own lengths, and appends only ever write past those lengths,
-// so concurrent readers of the snapshot race with nothing. Cell access is
-// O(1) to produce; supporting LookupID costs one copy of each column's
-// intern index per call, so on high-cardinality streams snapshot at coarse
-// intervals rather than per small chunk.
+// so readers of the snapshot race with nothing. The view shares the frozen
+// base index and copies only the overlay — the values interned past the
+// base — so a snapshot of a Derive'd dataset costs O(columns + unseen
+// values), not O(dictionary).
 //
-// Contract: Snapshot must be called from the appending goroutine (or
-// otherwise synchronized with appends); the returned view must be treated
-// as read-only; and overwrites of existing cells (SetValue) on the original
-// are NOT isolated — use Clone when the original will be mutated in place.
-// When another goroutine needs a consistent view of a growing dataset, the
-// appender must hand one over through PublishSnapshot/LatestSnapshot —
-// calling Snapshot from the reader side races with appends.
+// Contract: Snapshot reads the live column storage, so it must be called
+// from the appending goroutine or by a caller holding the lock the
+// appender holds; after that the view may be handed to any goroutine. The
+// returned view must be treated as read-only, and overwrites of existing
+// cells (SetValue) on the original are NOT isolated — use Clone when the
+// original will be mutated in place.
 func (d *Dataset) Snapshot() *Dataset {
 	c := &Dataset{Name: d.Name, Attrs: d.Attrs, nrows: d.nrows}
 	c.cols = make([]column, len(d.cols))
 	for j := range d.cols {
 		src := &d.cols[j]
-		idx := make(map[string]uint32, len(src.index))
-		for v, id := range src.index {
-			idx[v] = id
+		c.cols[j] = column{
+			ids:   src.ids[:len(src.ids):len(src.ids)],
+			dict:  src.dict[:len(src.dict):len(src.dict)],
+			base:  src.base,
+			index: maps.Clone(src.index),
 		}
-		c.cols[j] = column{ids: src.ids[:len(src.ids):len(src.ids)], dict: src.dict[:len(src.dict):len(src.dict)], index: idx}
 	}
 	return c
-}
-
-// PublishSnapshot takes a Snapshot and atomically publishes it for
-// cross-goroutine readers. It must be called from the appending goroutine
-// (it reads the live column storage, like Snapshot); the atomic store is
-// the release fence that makes every append before the call visible to any
-// goroutine that later observes the snapshot via LatestSnapshot. The
-// snapshot is also returned for the appender's own use.
-func (d *Dataset) PublishSnapshot() *Dataset {
-	s := d.Snapshot()
-	d.published.Store(s)
-	return s
-}
-
-// LatestSnapshot returns the most recently published snapshot, or nil if
-// PublishSnapshot has never been called. Safe from any goroutine: the
-// returned view is immutable (appends to the original only ever write past
-// its fixed lengths) and at least as old as the publishing append — readers
-// see a consistent prefix of the stream, never a torn row.
-func (d *Dataset) LatestSnapshot() *Dataset {
-	return d.published.Load()
 }
 
 // Subset returns a new dataset containing the first n rows (or all rows if
@@ -334,10 +332,8 @@ func (d *Dataset) Subset(n int) *Dataset {
 		c.cols[j] = column{
 			ids:   append([]uint32(nil), src.ids[:n]...),
 			dict:  append([]string(nil), src.dict...),
-			index: make(map[string]uint32, len(src.index)),
-		}
-		for v, id := range src.index {
-			c.cols[j].index[v] = id
+			base:  src.base,
+			index: maps.Clone(src.index),
 		}
 	}
 	return c
@@ -357,10 +353,8 @@ func (d *Dataset) SubsetRows(rows []int) *Dataset {
 		c.cols[j] = column{
 			ids:   ids,
 			dict:  append([]string(nil), src.dict...),
-			index: make(map[string]uint32, len(src.index)),
-		}
-		for v, id := range src.index {
-			c.cols[j].index[v] = id
+			base:  src.base,
+			index: maps.Clone(src.index),
 		}
 	}
 	return c
@@ -439,7 +433,7 @@ func ErrorMask(dirty, clean *Dataset) ([][]bool, error) {
 		// -1 when the dirty value never occurs in the clean pool.
 		sameID := make([]int64, len(dc.dict))
 		for id, v := range dc.dict {
-			if cid, ok := cc.index[v]; ok {
+			if cid, ok := cc.lookup(v); ok {
 				sameID[id] = int64(cid)
 			} else {
 				sameID[id] = -1

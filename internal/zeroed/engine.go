@@ -210,6 +210,7 @@ func (dt *Detector) FitOn(ctx context.Context, p *Pool, d *table.Dataset) (*Mode
 	if err != nil {
 		return nil, err // unreachable: intern pools are duplicate-free
 	}
+	m.proto = proto
 	m.ext = e.ext.Rebind(proto)
 	if mlp == nil {
 		for _, c := range e.training {

@@ -34,7 +34,8 @@ import (
 type Model struct {
 	cfg     Config
 	attrs   []string
-	dicts   [][]string // per-column intern pools at fit time, capacity-clamped
+	dicts   [][]string     // per-column intern pools at fit time, capacity-clamped
+	proto   *table.Dataset // rows-free dataset over dicts, indexed once; see bind
 	fitRows int
 	ext     *feature.Extractor
 	mlp     *nn.MLP // nil on a degenerate fit (single-class training data)
@@ -145,8 +146,9 @@ func (m *Model) SetParallelism(workers, shards int) {
 
 // bind creates the empty scoring dataset seeded with the model's
 // dictionaries, so appended rows intern seen values to their fit-time IDs.
-func (m *Model) bind() (*table.Dataset, error) {
-	return table.NewFromDicts("score", m.attrs, m.dicts)
+// It shares the proto's frozen index, so it costs O(columns).
+func (m *Model) bind() *table.Dataset {
+	return m.proto.Derive("score")
 }
 
 // checkSchema verifies that a dataset's attributes match the fitted schema
@@ -179,10 +181,7 @@ func (m *Model) ScoreOn(ctx context.Context, p *Pool, d *table.Dataset) (*Result
 	if err := m.checkSchema(d.Attrs); err != nil {
 		return nil, err
 	}
-	sd, err := m.bind()
-	if err != nil {
-		return nil, err
-	}
+	sd := m.bind()
 	_, bindSpan := obs.Start(ctx, "score.bind")
 	row := make([]string, d.NumCols())
 	for i := 0; i < d.NumRows(); i++ {
@@ -200,10 +199,7 @@ func (m *Model) ScoreOn(ctx context.Context, p *Pool, d *table.Dataset) (*Result
 // dataset: rows are interned directly into a dataset bound to the model's
 // dictionaries. A row whose arity does not match the schema is rejected.
 func (m *Model) ScoreRowsOn(ctx context.Context, p *Pool, rows [][]string) (*Result, error) {
-	sd, err := m.bind()
-	if err != nil {
-		return nil, err
-	}
+	sd := m.bind()
 	for i, r := range rows {
 		if err := sd.AppendRow(r); err != nil {
 			return nil, fmt.Errorf("zeroed: row %d: %w", i, err)
@@ -370,6 +366,7 @@ func ModelFromState(st *ModelState) (*Model, error) {
 		cfg:     cfg,
 		attrs:   st.Attrs,
 		dicts:   st.Dicts,
+		proto:   proto,
 		fitRows: st.FitRows,
 		ext:     ext,
 		info:    st.Info,

@@ -21,7 +21,7 @@ const maxSharedCacheEntries = 1 << 20
 // per-shard dedup cache uses, and they are only admitted when every
 // participating ID is below the fit-time dictionary size: those IDs are
 // stable across all datasets bound to the model's dictionaries
-// (table.NewFromDicts), so a key means the same value combination — and
+// (Model.bind), so a key means the same value combination — and
 // therefore the bit-identical feature vector and score — in every call.
 // Values interned per scoring call (novel data) get per-call IDs and are
 // deliberately never cached here.
@@ -100,8 +100,12 @@ type shardScorer struct {
 	// stable participate.
 	shared *sharedScoreCache
 
-	tile       []float64 // m x dim row feature tile, reused across rows
-	ptile      []float64 // compacted tile of this row's cache-miss columns
+	// tile is the m x dim row feature tile, reused across rows; ptile is the
+	// compacted tile of one row's cache-miss columns. With dedup on both are
+	// allocated on the first cache miss, so a fully warm call allocates
+	// neither.
+	tile       []float64
+	ptile      []float64
 	pout       []float64 // PredictInto output for ptile
 	missJ      []int     // columns missing from the cache this row
 	missStable []bool    // whether each miss column's key is shared-cacheable
@@ -120,13 +124,13 @@ func newShardScorer(ext *feature.Extractor, mlp *nn.MLP, d *table.Dataset,
 		ext: ext, mlp: mlp, d: d, m: m, dim: dim,
 		threshold: threshold, scores: scores, pred: pred,
 		depCols: depCols, shared: shared,
-		tile:   make([]float64, m*dim),
-		ptile:  make([]float64, m*dim),
 		pout:   make([]float64, m),
 		missJ:  make([]int, 0, m),
 		keyOff: make([]int, m),
 	}
-	if depCols != nil {
+	if depCols == nil {
+		s.tile = make([]float64, m*dim)
+	} else {
 		s.caches = make([]map[string]float64, m)
 		keyCap := 0
 		for j := range s.caches {
@@ -193,6 +197,10 @@ func (s *shardScorer) scoreRow(i int) {
 			s.missJ = append(s.missJ, j)
 		}
 		if len(s.missJ) > 0 {
+			if s.tile == nil {
+				s.tile = make([]float64, s.m*s.dim)
+				s.ptile = make([]float64, s.m*s.dim)
+			}
 			// Featurize the whole row once (bases computed once, shared by
 			// the correlated-context blocks), compact the missing columns'
 			// vectors, and run one batched forward pass over them.

@@ -126,3 +126,23 @@ func TestShardScorerDedupMatchesDirect(t *testing.T) {
 		t.Errorf("dedup cache holds %d entries for %d cells — no dedup happened", cached, n*sc.m)
 	}
 }
+
+// BenchmarkScoreRowsOnWarm measures one warm scoring request: 100 rows the
+// model was fitted on, after a warm-up call has filled the model-lifetime
+// score cache, so B/op is the per-request set-up (binding, shard scorers,
+// result matrices) rather than featurization or inference.
+func BenchmarkScoreRowsOnWarm(b *testing.B) {
+	m, bench := fitStreamModel(b)
+	rows := benchRows(bench, 100)
+	pool := NewPool(2)
+	ctx := context.Background()
+	if _, err := m.ScoreRowsOn(ctx, pool, rows); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := m.ScoreRowsOn(ctx, pool, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

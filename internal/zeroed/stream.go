@@ -28,10 +28,10 @@ import (
 //
 // Concurrency: ScoreChunk is safe for concurrent callers. Scoring runs
 // outside the scorer's lock (the model is safe for concurrent scoring);
-// drift observation and stream accumulation serialize under it. The refit
-// path reads the accumulated rows through the dataset's published-snapshot
-// handoff (table.PublishSnapshot / LatestSnapshot), never touching the live
-// columns from the fitting goroutine.
+// drift observation and stream accumulation serialize under it. Refit takes
+// its table.Snapshot of the accumulator under the same lock, so the view
+// sees whole rows only, and then clones and fits it outside the lock while
+// appends carry on past the view's fixed lengths.
 type StreamScorer struct {
 	cfg StreamConfig
 
@@ -144,26 +144,18 @@ func NewStreamScorer(m *Model, cfg StreamConfig) (*StreamScorer, error) {
 }
 
 // install binds the scorer to a model: fresh drift tracker against the
-// model's fit-time frequency snapshot, fresh accumulator seeded with the
-// model's dictionaries. Caller holds mu (or is the constructor).
+// model's fit-time frequency snapshot (its reference is the model's
+// never-appended proto), fresh accumulator seeded with the model's
+// dictionaries. Caller holds mu (or is the constructor).
 func (ss *StreamScorer) install(m *Model) error {
-	ref, err := m.bind()
+	drift, err := stats.NewDriftTracker(m.ext.Snapshot().Freq, m.proto)
 	if err != nil {
 		return err
 	}
-	drift, err := stats.NewDriftTracker(m.ext.Snapshot().Freq, ref)
-	if err != nil {
-		return err
-	}
-	accum, err := m.bind()
-	if err != nil {
-		return err
-	}
-	accum.Name = "stream"
 	ss.m = m
 	ss.version = m.Lineage().Version
 	ss.drift = drift
-	ss.accum = accum
+	ss.accum = m.proto.Derive("stream")
 	return nil
 }
 
@@ -214,9 +206,8 @@ func (ss *StreamScorer) ScoreChunk(ctx context.Context, p *Pool, rows [][]string
 			ss.accum.MustAppendRow(r)
 		}
 	}
-	ss.accum.PublishSnapshot()
 	st := ChunkStatus{Version: ss.version, Drift: ss.drift.Gauges()}
-	if ss.drift.Trip(ss.cfg.DriftThreshold, ss.cfg.DriftMinRows) &&
+	if st.Drift.Trip(ss.cfg.DriftThreshold, ss.cfg.DriftMinRows) &&
 		!ss.refitting.Load() && ss.refitAllowedLocked() {
 		st.ShouldRefit = true
 	}
@@ -313,10 +304,10 @@ func (ss *StreamScorer) AbortRefit() {
 }
 
 // Refit trains a successor model on the accumulated stream. It runs from
-// the refit goroutine: the rows are taken from the accumulator's latest
-// published snapshot (the cross-goroutine handoff — streaming appends keep
-// going while the fit runs) and cloned before fitting, because the fit
-// pipeline mutates its dataset in place during training-data synthesis.
+// the refit goroutine: the rows are taken from a snapshot of the
+// accumulator made under the scorer's lock (streaming appends keep going
+// while the fit runs) and cloned before fitting, because the fit pipeline
+// mutates its dataset in place during training-data synthesis.
 //
 // The successor reuses the prior model's configuration and seed, and —
 // because the accumulator is seeded with the prior dictionaries — its
@@ -335,11 +326,10 @@ func (ss *StreamScorer) Refit(ctx context.Context, p *Pool) (*Model, error) {
 	}
 	ss.mu.Lock()
 	prior, version := ss.m, ss.version
-	accum := ss.accum
+	snap := ss.accum.Snapshot()
 	ss.mu.Unlock()
 
-	snap := accum.LatestSnapshot()
-	if snap == nil || snap.NumRows() == 0 {
+	if snap.NumRows() == 0 {
 		return nil, fmt.Errorf("zeroed: no accumulated rows to refit on")
 	}
 	ds := snap.Clone()

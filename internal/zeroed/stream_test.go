@@ -2,9 +2,13 @@ package zeroed
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/datasets"
 )
@@ -208,8 +212,8 @@ func TestStreamRefitMatchesFromScratchFit(t *testing.T) {
 
 	// Independent from-scratch fit over the same accumulated rows with the
 	// same dictionary seeding and config.
-	snap := ss.accum.LatestSnapshot()
-	if snap == nil || snap.NumRows() != len(rows) {
+	snap := ss.accum.Snapshot()
+	if snap.NumRows() != len(rows) {
 		t.Fatalf("accumulator snapshot has %d rows, want %d", snap.NumRows(), len(rows))
 	}
 	ds := snap.Clone()
@@ -251,6 +255,95 @@ func TestStreamRefitMatchesFromScratchFit(t *testing.T) {
 		t.Fatal("install must reopen the refit slot")
 	}
 	ss.AbortRefit()
+}
+
+// TestStreamRefitWhileScoring runs refits against a stream that keeps
+// scoring (run under -race). Scoring goroutines append to the accumulator
+// under the scorer's lock while the refit snapshots it under that lock and
+// fits a clone outside it, so a successor never trains on more rows than
+// were sent for scoring, and a refit fails only for the documented
+// single-class reason.
+func TestStreamRefitWhileScoring(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fits several models")
+	}
+	m, bench := fitStreamModel(t)
+	// Bounding the accumulator keeps each refit as small as the first fit
+	// however long the previous one took.
+	ss, err := NewStreamScorer(m, StreamConfig{MaxAccumRows: bench.Dirty.NumRows()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := benchRows(bench, bench.Dirty.NumRows())
+	for i := 0; i < len(rows); i += 9 {
+		rows[i][i%len(rows[i])] = fmt.Sprintf("refit-race-novel-%d", i)
+	}
+
+	const scorers, chunk = 3, 10
+	var sent, done atomic.Int64 // rows handed to ScoreChunk / rows it returned
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errc := make(chan error, scorers)
+	for g := 0; g < scorers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g * chunk; !stop.Load(); i = (i + scorers*chunk) % len(rows) {
+				hi := min(i+chunk, len(rows))
+				sent.Add(int64(hi - i))
+				if _, _, err := ss.ScoreChunk(context.Background(), nil, rows[i:hi]); err != nil {
+					errc <- err
+					return
+				}
+				done.Add(int64(hi - i))
+				time.Sleep(time.Millisecond) // leave the refit some CPU
+			}
+		}(g)
+	}
+	// waitScored blocks until the scorers have returned n more rows.
+	waitScored := func(n int64) {
+		for target := done.Load() + n; done.Load() < target && len(errc) == 0; {
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	version := m.Lineage().Version
+	for round := 0; round < 3; round++ {
+		waitScored(150)
+		if !ss.BeginRefit() {
+			t.Fatal("refit slot should be free")
+		}
+		successor, err := ss.Refit(context.Background(), nil)
+		if err != nil {
+			if !strings.Contains(err.Error(), "single-class") {
+				t.Fatalf("round %d: refit failed: %v", round, err)
+			}
+			t.Logf("round %d: %v", round, err)
+			ss.AbortRefit()
+			continue
+		}
+		if got, max := successor.Lineage().RefitRows, sent.Load(); int64(got) > max {
+			t.Fatalf("round %d: successor trained on %d rows, only %d were sent for scoring", round, got, max)
+		}
+		t.Logf("round %d: successor trained on %d rows", round, successor.Lineage().RefitRows)
+		if round%2 == 1 {
+			ss.AbortRefit()
+			continue
+		}
+		if err := ss.Install(successor); err != nil {
+			t.Fatal(err)
+		}
+		version++
+		if _, v := ss.Model(); v != version {
+			t.Fatalf("round %d: installed version %d, want %d", round, v, version)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
 }
 
 // TestStreamScorerRejectsDegenerate: degenerate models cannot stream.
