@@ -149,7 +149,11 @@ func TestFMEDTokenCostLinear(t *testing.T) {
 	run := func(rows int) int64 {
 		client := llm.NewClient(llm.Qwen72B)
 		m := NewFMED(client, b.KB)
-		if _, err := m.Detect(b.Dirty.Subset(rows)); err != nil {
+		prefix := make([]int, rows)
+		for i := range prefix {
+			prefix[i] = i
+		}
+		if _, err := m.Detect(b.Dirty.SubsetRows(prefix)); err != nil {
 			t.Fatal(err)
 		}
 		return m.Usage().InputTokens

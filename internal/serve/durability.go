@@ -89,7 +89,7 @@ func (r *registry) writeManifest(met *metrics) {
 	}
 	if err != nil {
 		r.log.Error("manifest write failed, registry unaffected", "dir", r.dir, "err", err)
-		met.manifestWriteFailures.Add(1)
+		met.add(manifestWriteFailures, 1)
 	}
 }
 
@@ -103,7 +103,7 @@ func quarantine(path string, met *metrics, log *slog.Logger) {
 	}
 	log.Warn("quarantined corrupt artifact",
 		"path", path, "renamed_to", filepath.Base(path)+corruptSuffix)
-	met.modelsQuarantined.Add(1)
+	met.add(modelsQuarantined, 1)
 }
 
 // sweepTmp removes stranded atomic-write temp files — debris of a crash

@@ -28,9 +28,13 @@ func FuzzDetect(f *testing.F) {
 		if len(data) > 2048 {
 			t.Skip("cap input size to keep executions fast")
 		}
-		ds, err := ingestCSV("fuzz", bytes.NewReader(data), ingestLimits{maxRows: 40, maxCols: 6})
+		src, err := table.NewCSVSource(bytes.NewReader(data))
 		if err != nil {
 			return // rejected at the boundary: exactly the contract
+		}
+		ds, err := ingestSource("fuzz", src, ingestLimits{maxRows: 40, maxCols: 6})
+		if err != nil {
+			return
 		}
 		cfg := zeroed.Config{
 			Seed:     1,

@@ -281,7 +281,7 @@ func TestRepairEndpointMatchesLocalPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := table.ReadCSV("repair", bytes.NewReader(csvBytes))
+	ref, err := table.Read("repair", table.FormatCSV, bytes.NewReader(csvBytes))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,8 +219,8 @@ func (m *manager) submit(ctx context.Context, ds *table.Dataset, p JobParams) (*
 	m.queue = append(m.queue, j)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	m.met.submitted.Add(1)
-	m.met.rowsIngested.Add(int64(j.rows))
+	m.met.add(jobsSubmitted, 1)
+	m.met.add(rowsIngested, int64(j.rows))
 	m.evictLocked()
 	m.cond.Signal()
 	return j, nil
@@ -311,7 +311,7 @@ func (m *manager) cancelJob(id string) (JobState, bool) {
 		m.mu.Lock()
 		m.dropQueuedLocked(j)
 		m.mu.Unlock()
-		m.met.canceled.Add(1)
+		m.met.add(jobsCanceled, 1)
 	case JobRunning:
 		cancel := j.cancel
 		j.mu.Unlock()
@@ -394,7 +394,7 @@ func (m *manager) runJob(j *job) {
 	j.started = time.Now()
 	j.cancel = cancel
 	j.qspan.End()
-	m.met.queueWait.observe(j.started.Sub(j.created).Seconds())
+	m.met.observe(queueWait, j.started.Sub(j.created))
 	ds, p := j.ds, j.params
 	trace := j.trace
 	j.mu.Unlock()
@@ -418,17 +418,16 @@ func (m *manager) runJob(j *job) {
 	case err != nil && (ctx.Err() != nil || m.baseCtx.Err() != nil):
 		j.state = JobCanceled
 		j.errMsg = err.Error()
-		m.met.canceled.Add(1)
+		m.met.add(jobsCanceled, 1)
 	case err != nil:
 		j.state = JobFailed
 		j.errMsg = err.Error()
-		m.met.failed.Add(1)
+		m.met.add(jobsFailed, 1)
 	default:
 		j.state = JobDone
 		j.res = res
-		m.met.done.Add(1)
-		m.met.detectRuns.Add(1)
-		m.met.detectNanos.Add(int64(res.Runtime))
+		m.met.add(jobsDone, 1)
+		m.met.observe(detectPhase, res.Runtime)
 	}
 	m.finishTraceLocked(j)
 	j.mu.Unlock()

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,96 +15,99 @@ import (
 	"repro/internal/zeroed"
 )
 
-// metrics aggregates service counters. Everything is lock-free atomics;
-// per-state gauges are derived from the job table at render time so they
-// are exact, not drift-prone increments.
+// counter names one counter series; it indexes metrics.counts. What each
+// counts is the help text of its row in families.
+type counter int
+
+const (
+	jobsSubmitted counter = iota
+	jobsDone
+	jobsFailed
+	jobsCanceled
+	rowsIngested
+	modelsFitted
+	modelLoadFailures
+	modelsQuarantined
+	manifestWriteFailures
+	manifestMissing
+	requestDeadlines
+	streamRequests
+	streamRows
+	refitsStarted
+	refitsSwapped
+	refitsFailed
+	mappedUploads
+	droppedColumns
+	repairedCells
+	nCounters
+)
+
+// phase names one unlabelled latency histogram; it indexes metrics.phases.
+// Fit and score are separate phases: the whole point of the registry is
+// that score stays orders of magnitude below fit. Queue wait is split out
+// from handler time so queueing pressure shows apart from detection cost.
+type phase int
+
+const (
+	queueWait phase = iota
+	detectPhase
+	fitPhase
+	scorePhase
+	repairPhase
+	nPhases
+)
+
+// metrics holds the service's series. Counters and phase histograms are
+// arrays indexed by the constants above; the two families whose label
+// values arrive at run time (RED routes, fit stages) are map-backed.
+// Per-state job gauges and per-model gauges are read from the job table
+// and the registry at scrape time, so they are exact, not drift-prone
+// increments. What /metrics prints, and in what order, is the families
+// table.
 type metrics struct {
-	submitted    atomic.Int64
-	done         atomic.Int64
-	failed       atomic.Int64
-	canceled     atomic.Int64
-	rowsIngested atomic.Int64
-	detectRuns   atomic.Int64
-	detectNanos  atomic.Int64
-
-	// Model registry: fit and score are separate phases with separate
-	// latency summaries — the whole point of the registry is that score
-	// stays orders of magnitude below fit.
-	modelsFitted      atomic.Int64
-	modelLoadFailures atomic.Int64
-	fitRuns           atomic.Int64
-	fitNanos          atomic.Int64
-	scoreRuns         atomic.Int64
-	scoreNanos        atomic.Int64
-
-	// Durability and failure containment (see durability.go).
-	modelsQuarantined     atomic.Int64
-	manifestWriteFailures atomic.Int64
-	manifestMissing       atomic.Int64
-	deadlines             atomic.Int64
-
-	// Streaming detection and drift-triggered refits.
-	streamRequests atomic.Int64
-	streamRows     atomic.Int64
-	refitsStarted  atomic.Int64
-	refitsSwapped  atomic.Int64
-	refitFailures  atomic.Int64
-
-	// Schema-mapped uploads (headers that were permutations or supersets
-	// of the model schema) and the extra columns they dropped.
-	mappedUploads  atomic.Int64
-	droppedColumns atomic.Int64
-
-	// Served detect→repair loop.
-	repairRuns    atomic.Int64
-	repairNanos   atomic.Int64
-	repairedCells atomic.Int64
-
-	// Per-stage fit wall-clock, accumulated from FitInfo.Stages across
-	// fits. Stage names arrive with the fit, so this is the one map-backed
-	// family; fits are rare enough that a mutex is fine.
-	stageMu      sync.Mutex
-	stageSeconds map[string]float64
-	stageOrder   []string
+	counts [nCounters]atomic.Int64
+	phases [nPhases]histogram
 
 	// RED: per-route request rate, error rate (via the code label), and
 	// duration histograms, observed by the middleware around every request.
 	red redTable
 
-	// queueWait is the admission-queue wait histogram — time from submit to
-	// runner pickup, split out from handler time so queueing pressure is
-	// visible separately from detection cost.
-	queueWait histogram
+	// Per-stage fit wall-clock, accumulated from FitInfo.Stages across
+	// fits. Fits are rare enough that a mutex is fine.
+	stageMu      sync.Mutex
+	stageSeconds map[string]float64
+	stageOrder   []string
 }
+
+func (m *metrics) add(c counter, n int64) { m.counts[c].Add(n) }
+
+func (m *metrics) observe(p phase, d time.Duration) { m.phases[p].observe(d) }
 
 // latencyBuckets are the shared histogram bounds, in seconds. They span
 // sub-10ms scores to multi-second fits on large uploads.
-var latencyBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
+var latencyBuckets = [...]float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 
 // histogram is a fixed-bucket Prometheus histogram. A mutex over a small
-// int64 slice: observation cost is one lock and one increment, far below
-// the request work it measures. The bucket slice is lazily sized on first
-// observe so the zero value is usable.
+// array: observation cost is one lock and one increment, far below the
+// request work it measures. The zero value is ready to use.
 type histogram struct {
 	mu     sync.Mutex
-	counts []int64 // len(latencyBuckets)+1; last is +Inf
-	sum    float64
+	counts [len(latencyBuckets) + 1]int64 // last is +Inf
+	sum    time.Duration
 	n      int64
 }
 
-func (h *histogram) observe(sec float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.counts == nil {
-		h.counts = make([]int64, len(latencyBuckets)+1)
-	}
+func (h *histogram) observe(d time.Duration) {
+	sec := d.Seconds()
 	i := 0
 	for i < len(latencyBuckets) && sec > latencyBuckets[i] {
 		i++
 	}
+	h.mu.Lock()
 	h.counts[i]++
-	h.sum += sec
+	h.sum += d
 	h.n++
+	h.mu.Unlock()
 }
 
 // render writes the cumulative-bucket exposition for one histogram series.
@@ -109,15 +115,11 @@ func (h *histogram) observe(sec float64) {
 // `route="POST /v1/jobs"`).
 func (h *histogram) render(w io.Writer, name, labels string) {
 	h.mu.Lock()
-	counts := append([]int64(nil), h.counts...)
-	sum, n := h.sum, h.n
+	counts, sum, n := h.counts, h.sum, h.n
 	h.mu.Unlock()
-	if counts == nil {
-		counts = make([]int64, len(latencyBuckets)+1)
-	}
-	sep := ""
+	sep, set := "", ""
 	if labels != "" {
-		sep = ","
+		sep, set = ",", "{"+labels+"}"
 	}
 	var cum int64
 	for i, b := range latencyBuckets {
@@ -126,13 +128,8 @@ func (h *histogram) render(w io.Writer, name, labels string) {
 	}
 	cum += counts[len(latencyBuckets)]
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, n)
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, sum)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, n)
-	}
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, set, sum.Seconds())
+	fmt.Fprintf(w, "%s_count%s %d\n", name, set, n)
 }
 
 // routeRED holds one route's request counters by status code plus its
@@ -161,51 +158,16 @@ func (t *redTable) observe(route string, code int, dur time.Duration) {
 	}
 	rr.codes[code]++
 	t.mu.Unlock()
-	rr.hist.observe(dur.Seconds())
+	rr.hist.observe(dur)
 }
 
-// render writes the RED families: request totals by route and code, and
-// per-route duration histograms.
-func (t *redTable) render(w io.Writer) {
+// each calls fn on every observed route in sorted order, under the table
+// lock (histogram locks nest inside it; observe never holds both).
+func (t *redTable) each(fn func(route string, rr *routeRED)) {
 	t.mu.Lock()
-	routes := make([]string, 0, len(t.byRoute))
-	for r := range t.byRoute {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	type codeCount struct {
-		code int
-		n    int64
-	}
-	counts := make(map[string][]codeCount, len(routes))
-	for _, r := range routes {
-		rr := t.byRoute[r]
-		cc := make([]codeCount, 0, len(rr.codes))
-		for c, n := range rr.codes {
-			cc = append(cc, codeCount{c, n})
-		}
-		sort.Slice(cc, func(i, j int) bool { return cc[i].code < cc[j].code })
-		counts[r] = cc
-	}
-	t.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP zeroedd_http_requests_total HTTP requests served, by route pattern and status code.")
-	fmt.Fprintln(w, "# TYPE zeroedd_http_requests_total counter")
-	for _, r := range routes {
-		for _, cc := range counts[r] {
-			fmt.Fprintf(w, "zeroedd_http_requests_total{route=%q,code=\"%d\"} %d\n", r, cc.code, cc.n)
-		}
-	}
-	fmt.Fprintln(w, "# HELP zeroedd_http_request_seconds HTTP request duration by route pattern, queue wait included.")
-	fmt.Fprintln(w, "# TYPE zeroedd_http_request_seconds histogram")
-	t.mu.Lock()
-	hists := make([]*routeRED, len(routes))
-	for i, r := range routes {
-		hists[i] = t.byRoute[r]
-	}
-	t.mu.Unlock()
-	for i, r := range routes {
-		hists[i].hist.render(w, "zeroedd_http_request_seconds", fmt.Sprintf("route=%q", r))
+	defer t.mu.Unlock()
+	for _, r := range slices.Sorted(maps.Keys(t.byRoute)) {
+		fn(r, t.byRoute[r])
 	}
 }
 
@@ -225,215 +187,192 @@ func (m *metrics) addFitStages(stages []zeroed.StageTiming) {
 	}
 }
 
-// modelGauge carries one registered model's per-model gauges to render:
-// its current version and — when a stream has touched it — its live drift
-// reading.
-type modelGauge struct {
-	id        string
-	version   int
-	hasDrift  bool
-	drift     stats.DriftGauges
-	hasHealth bool
-	health    zeroed.RefitHealth
+// modelReading is one registered model's per-model gauges: its current
+// version and, when a stream has touched it, its scorer's drift reading
+// and refit health.
+type modelReading struct {
+	id      string
+	version int
+	stream  bool
+	drift   stats.DriftGauges
+	health  zeroed.RefitHealth
 }
 
-// modelGauges snapshots every registered model's version plus the drift
-// gauges of the ones with live stream scorers, sorted by id for stable
+// modelReadings walks the registry once, reading each model's stream
+// scorer under the stream table's lock, sorted by id for stable
 // exposition output.
-func (s *Server) modelGauges() []modelGauge {
-	drift := s.driftReadings()
-	health := s.healthReadings()
+func (s *Server) modelReadings() []modelReading {
 	list := s.reg.list()
-	out := make([]modelGauge, 0, len(list))
-	for _, st := range list {
-		g := modelGauge{id: st.ID, version: st.Version}
-		if d, ok := drift[st.ID]; ok {
-			g.hasDrift, g.drift = true, d
+	s.streams.mu.Lock()
+	defer s.streams.mu.Unlock()
+	out := make([]modelReading, len(list))
+	for i, st := range list {
+		out[i] = modelReading{id: st.ID, version: st.Version}
+		if ss := s.streams.m[st.ID]; ss != nil {
+			out[i].stream = true
+			out[i].drift, _ = ss.Gauges()
+			out[i].health = ss.RefitHealth()
 		}
-		if h, ok := health[st.ID]; ok {
-			g.hasHealth, g.health = true, h
-		}
-		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	slices.SortFunc(out, func(a, b modelReading) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
-// render writes the Prometheus text exposition of the counters plus the
-// jobs-by-state and model-count gauges.
-func (m *metrics) render(w io.Writer, byState map[JobState]int, modelCount int, models []modelGauge) {
-	bm := readBuildMeta
-	pgo := 0
-	if bm.pgo {
-		pgo = 1
+// scrape is what one /metrics render reads: the metrics, the job table's
+// per-state counts and the per-model readings.
+type scrape struct {
+	m       *metrics
+	byState map[JobState]int
+	models  []modelReading
+}
+
+// family is one declared metric family: its name, Prometheus type and
+// help text, and the writer of its samples. A family whose writer writes
+// nothing is left out of the exposition.
+type family struct {
+	name, typ, help string
+	write           sampler
+}
+
+// sampler writes one family's samples under the family's name.
+type sampler func(w io.Writer, name string, s *scrape)
+
+func count(c counter) sampler {
+	return func(w io.Writer, name string, s *scrape) {
+		fmt.Fprintf(w, "%s %d\n", name, s.m.counts[c].Load())
 	}
-	fmt.Fprintln(w, "# HELP zeroedd_build_info Build identity of the running binary; always 1.")
-	fmt.Fprintln(w, "# TYPE zeroedd_build_info gauge")
-	fmt.Fprintf(w, "zeroedd_build_info{version=%q,go_version=%q,pgo=\"%d\"} 1\n", bm.version, bm.goVersion, pgo)
+}
 
-	m.red.render(w)
+// outcome is one label value of an outcome-labelled counter family.
+type outcome struct {
+	label string
+	c     counter
+}
 
-	fmt.Fprintln(w, "# HELP zeroedd_queue_wait_seconds Admission-queue wait from job submit to runner pickup.")
-	fmt.Fprintln(w, "# TYPE zeroedd_queue_wait_seconds histogram")
-	m.queueWait.render(w, "zeroedd_queue_wait_seconds", "")
-
-	fmt.Fprintln(w, "# HELP zeroedd_jobs_submitted_total Jobs accepted into the admission queue.")
-	fmt.Fprintln(w, "# TYPE zeroedd_jobs_submitted_total counter")
-	fmt.Fprintf(w, "zeroedd_jobs_submitted_total %d\n", m.submitted.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_jobs_finished_total Jobs finished, by outcome.")
-	fmt.Fprintln(w, "# TYPE zeroedd_jobs_finished_total counter")
-	fmt.Fprintf(w, "zeroedd_jobs_finished_total{outcome=\"done\"} %d\n", m.done.Load())
-	fmt.Fprintf(w, "zeroedd_jobs_finished_total{outcome=\"failed\"} %d\n", m.failed.Load())
-	fmt.Fprintf(w, "zeroedd_jobs_finished_total{outcome=\"canceled\"} %d\n", m.canceled.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_jobs_current Retained jobs by lifecycle state.")
-	fmt.Fprintln(w, "# TYPE zeroedd_jobs_current gauge")
-	for _, st := range []JobState{JobQueued, JobRunning, JobDone, JobFailed, JobCanceled} {
-		fmt.Fprintf(w, "zeroedd_jobs_current{state=%q} %d\n", st, byState[st])
-	}
-
-	fmt.Fprintln(w, "# HELP zeroedd_rows_ingested_total Data rows parsed from accepted uploads.")
-	fmt.Fprintln(w, "# TYPE zeroedd_rows_ingested_total counter")
-	fmt.Fprintf(w, "zeroedd_rows_ingested_total %d\n", m.rowsIngested.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_detect_seconds Total detection wall-clock across completed jobs.")
-	fmt.Fprintln(w, "# TYPE zeroedd_detect_seconds summary")
-	fmt.Fprintf(w, "zeroedd_detect_seconds_sum %g\n", time.Duration(m.detectNanos.Load()).Seconds())
-	fmt.Fprintf(w, "zeroedd_detect_seconds_count %d\n", m.detectRuns.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_models_current Fitted models currently registered.")
-	fmt.Fprintln(w, "# TYPE zeroedd_models_current gauge")
-	fmt.Fprintf(w, "zeroedd_models_current %d\n", modelCount)
-
-	fmt.Fprintln(w, "# HELP zeroedd_models_fitted_total Models fitted and registered over the process lifetime.")
-	fmt.Fprintln(w, "# TYPE zeroedd_models_fitted_total counter")
-	fmt.Fprintf(w, "zeroedd_models_fitted_total %d\n", m.modelsFitted.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_model_load_failures_total Persisted artifacts skipped as corrupt or unreadable at startup.")
-	fmt.Fprintln(w, "# TYPE zeroedd_model_load_failures_total counter")
-	fmt.Fprintf(w, "zeroedd_model_load_failures_total %d\n", m.modelLoadFailures.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_models_quarantined_total Corrupt artifacts renamed aside to *.corrupt at startup.")
-	fmt.Fprintln(w, "# TYPE zeroedd_models_quarantined_total counter")
-	fmt.Fprintf(w, "zeroedd_models_quarantined_total %d\n", m.modelsQuarantined.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_manifest_write_failures_total Registry manifest writes that failed (soft: artifacts remain the source of truth).")
-	fmt.Fprintln(w, "# TYPE zeroedd_manifest_write_failures_total counter")
-	fmt.Fprintf(w, "zeroedd_manifest_write_failures_total %d\n", m.manifestWriteFailures.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_manifest_missing_total Manifest-committed artifact versions found missing or unloadable at startup.")
-	fmt.Fprintln(w, "# TYPE zeroedd_manifest_missing_total counter")
-	fmt.Fprintf(w, "zeroedd_manifest_missing_total %d\n", m.manifestMissing.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_request_deadlines_total Requests that exceeded the configured request timeout.")
-	fmt.Fprintln(w, "# TYPE zeroedd_request_deadlines_total counter")
-	fmt.Fprintf(w, "zeroedd_request_deadlines_total %d\n", m.deadlines.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_fit_seconds Fit-phase wall-clock across model fits.")
-	fmt.Fprintln(w, "# TYPE zeroedd_fit_seconds summary")
-	fmt.Fprintf(w, "zeroedd_fit_seconds_sum %g\n", time.Duration(m.fitNanos.Load()).Seconds())
-	fmt.Fprintf(w, "zeroedd_fit_seconds_count %d\n", m.fitRuns.Load())
-
-	m.stageMu.Lock()
-	if len(m.stageOrder) > 0 {
-		fmt.Fprintln(w, "# HELP zeroedd_fit_stage_seconds Fit wall-clock by pipeline stage, cumulative across fits.")
-		fmt.Fprintln(w, "# TYPE zeroedd_fit_stage_seconds counter")
-		for _, name := range m.stageOrder {
-			fmt.Fprintf(w, "zeroedd_fit_stage_seconds{stage=%q} %g\n", name, m.stageSeconds[name])
+func byOutcome(outs ...outcome) sampler {
+	return func(w io.Writer, name string, s *scrape) {
+		for _, o := range outs {
+			fmt.Fprintf(w, "%s{outcome=%q} %d\n", name, o.label, s.m.counts[o.c].Load())
 		}
 	}
-	m.stageMu.Unlock()
+}
 
-	fmt.Fprintln(w, "# HELP zeroedd_score_seconds Score-phase wall-clock across model scoring calls.")
-	fmt.Fprintln(w, "# TYPE zeroedd_score_seconds summary")
-	fmt.Fprintf(w, "zeroedd_score_seconds_sum %g\n", time.Duration(m.scoreNanos.Load()).Seconds())
-	fmt.Fprintf(w, "zeroedd_score_seconds_count %d\n", m.scoreRuns.Load())
+func latency(p phase) sampler {
+	return func(w io.Writer, name string, s *scrape) { s.m.phases[p].render(w, name, "") }
+}
 
-	fmt.Fprintln(w, "# HELP zeroedd_stream_requests_total Streaming detection requests accepted.")
-	fmt.Fprintln(w, "# TYPE zeroedd_stream_requests_total counter")
-	fmt.Fprintf(w, "zeroedd_stream_requests_total %d\n", m.streamRequests.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_stream_rows_total Rows scored through streaming detection.")
-	fmt.Fprintln(w, "# TYPE zeroedd_stream_rows_total counter")
-	fmt.Fprintf(w, "zeroedd_stream_rows_total %d\n", m.streamRows.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_mapped_uploads_total Uploads whose header needed schema mapping (permutation or superset of the model schema).")
-	fmt.Fprintln(w, "# TYPE zeroedd_mapped_uploads_total counter")
-	fmt.Fprintf(w, "zeroedd_mapped_uploads_total %d\n", m.mappedUploads.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_dropped_columns_total Extra upload columns dropped by schema mapping.")
-	fmt.Fprintln(w, "# TYPE zeroedd_dropped_columns_total counter")
-	fmt.Fprintf(w, "zeroedd_dropped_columns_total %d\n", m.droppedColumns.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_repair_seconds Repair-phase wall-clock across served repair calls (excludes the scoring pass).")
-	fmt.Fprintln(w, "# TYPE zeroedd_repair_seconds summary")
-	fmt.Fprintf(w, "zeroedd_repair_seconds_sum %g\n", time.Duration(m.repairNanos.Load()).Seconds())
-	fmt.Fprintf(w, "zeroedd_repair_seconds_count %d\n", m.repairRuns.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_repaired_cells_total Cells changed by served repair calls.")
-	fmt.Fprintln(w, "# TYPE zeroedd_repaired_cells_total counter")
-	fmt.Fprintf(w, "zeroedd_repaired_cells_total %d\n", m.repairedCells.Load())
-
-	fmt.Fprintln(w, "# HELP zeroedd_model_refits_total Drift-triggered background refits, by outcome.")
-	fmt.Fprintln(w, "# TYPE zeroedd_model_refits_total counter")
-	fmt.Fprintf(w, "zeroedd_model_refits_total{outcome=\"started\"} %d\n", m.refitsStarted.Load())
-	fmt.Fprintf(w, "zeroedd_model_refits_total{outcome=\"swapped\"} %d\n", m.refitsSwapped.Load())
-	fmt.Fprintf(w, "zeroedd_model_refits_total{outcome=\"failed\"} %d\n", m.refitFailures.Load())
-
-	if len(models) > 0 {
-		fmt.Fprintln(w, "# HELP zeroedd_model_version Current hot-swapped version of each registered model.")
-		fmt.Fprintln(w, "# TYPE zeroedd_model_version gauge")
-		for _, g := range models {
-			fmt.Fprintf(w, "zeroedd_model_version{model=%q} %d\n", g.id, g.version)
-		}
-	}
-	withHealth := false
-	for _, g := range models {
-		if g.hasHealth {
-			withHealth = true
-			break
-		}
-	}
-	if withHealth {
-		fmt.Fprintln(w, "# HELP zeroedd_model_refit_breaker Per-model refit circuit breaker: 1 when open (refits disabled until a successful install).")
-		fmt.Fprintln(w, "# TYPE zeroedd_model_refit_breaker gauge")
-		for _, g := range models {
-			if !g.hasHealth {
-				continue
+// perStreamModel writes line's samples for every model that has a stream
+// scorer.
+func perStreamModel(line func(w io.Writer, name string, g modelReading)) sampler {
+	return func(w io.Writer, name string, s *scrape) {
+		for _, g := range s.models {
+			if g.stream {
+				line(w, name, g)
 			}
+		}
+	}
+}
+
+// families is the /metrics surface, in exposition order.
+var families = []family{
+	{"zeroedd_build_info", "gauge", "Build identity of the running binary; always 1.",
+		func(w io.Writer, name string, _ *scrape) {
+			bm, pgo := readBuildMeta, 0
+			if bm.pgo {
+				pgo = 1
+			}
+			fmt.Fprintf(w, "%s{version=%q,go_version=%q,pgo=\"%d\"} 1\n", name, bm.version, bm.goVersion, pgo)
+		}},
+	{"zeroedd_http_requests_total", "counter", "HTTP requests served, by route pattern and status code.",
+		func(w io.Writer, name string, s *scrape) {
+			s.m.red.each(func(route string, rr *routeRED) {
+				for _, c := range slices.Sorted(maps.Keys(rr.codes)) {
+					fmt.Fprintf(w, "%s{route=%q,code=\"%d\"} %d\n", name, route, c, rr.codes[c])
+				}
+			})
+		}},
+	{"zeroedd_http_request_seconds", "histogram", "HTTP request duration by route pattern, queue wait included.",
+		func(w io.Writer, name string, s *scrape) {
+			s.m.red.each(func(route string, rr *routeRED) {
+				rr.hist.render(w, name, fmt.Sprintf("route=%q", route))
+			})
+		}},
+	{"zeroedd_queue_wait_seconds", "histogram", "Admission-queue wait from job submit to runner pickup.", latency(queueWait)},
+	{"zeroedd_jobs_submitted_total", "counter", "Jobs accepted into the admission queue.", count(jobsSubmitted)},
+	{"zeroedd_jobs_finished_total", "counter", "Jobs finished, by outcome.",
+		byOutcome(outcome{"done", jobsDone}, outcome{"failed", jobsFailed}, outcome{"canceled", jobsCanceled})},
+	{"zeroedd_jobs_current", "gauge", "Retained jobs by lifecycle state.",
+		func(w io.Writer, name string, s *scrape) {
+			for _, st := range []JobState{JobQueued, JobRunning, JobDone, JobFailed, JobCanceled} {
+				fmt.Fprintf(w, "%s{state=%q} %d\n", name, st, s.byState[st])
+			}
+		}},
+	{"zeroedd_rows_ingested_total", "counter", "Data rows parsed from accepted uploads.", count(rowsIngested)},
+	{"zeroedd_detect_seconds", "histogram", "Total detection wall-clock across completed jobs.", latency(detectPhase)},
+	{"zeroedd_models_current", "gauge", "Fitted models currently registered.",
+		func(w io.Writer, name string, s *scrape) { fmt.Fprintf(w, "%s %d\n", name, len(s.models)) }},
+	{"zeroedd_models_fitted_total", "counter", "Models fitted and registered over the process lifetime.", count(modelsFitted)},
+	{"zeroedd_model_load_failures_total", "counter", "Persisted artifacts skipped as corrupt or unreadable at startup.", count(modelLoadFailures)},
+	{"zeroedd_models_quarantined_total", "counter", "Corrupt artifacts renamed aside to *.corrupt at startup.", count(modelsQuarantined)},
+	{"zeroedd_manifest_write_failures_total", "counter", "Registry manifest writes that failed (soft: artifacts remain the source of truth).", count(manifestWriteFailures)},
+	{"zeroedd_manifest_missing_total", "counter", "Manifest-committed artifact versions found missing or unloadable at startup.", count(manifestMissing)},
+	{"zeroedd_request_deadlines_total", "counter", "Requests that exceeded the configured request timeout.", count(requestDeadlines)},
+	{"zeroedd_fit_seconds", "histogram", "Fit-phase wall-clock across model fits.", latency(fitPhase)},
+	{"zeroedd_fit_stage_seconds", "counter", "Fit wall-clock by pipeline stage, cumulative across fits.",
+		func(w io.Writer, name string, s *scrape) {
+			s.m.stageMu.Lock()
+			defer s.m.stageMu.Unlock()
+			for _, st := range s.m.stageOrder {
+				fmt.Fprintf(w, "%s{stage=%q} %g\n", name, st, s.m.stageSeconds[st])
+			}
+		}},
+	{"zeroedd_score_seconds", "histogram", "Score-phase wall-clock across model scoring calls.", latency(scorePhase)},
+	{"zeroedd_stream_requests_total", "counter", "Streaming detection requests accepted.", count(streamRequests)},
+	{"zeroedd_stream_rows_total", "counter", "Rows scored through streaming detection.", count(streamRows)},
+	{"zeroedd_mapped_uploads_total", "counter", "Uploads whose header needed schema mapping (permutation or superset of the model schema).", count(mappedUploads)},
+	{"zeroedd_dropped_columns_total", "counter", "Extra upload columns dropped by schema mapping.", count(droppedColumns)},
+	{"zeroedd_repair_seconds", "histogram", "Repair-phase wall-clock across served repair calls (excludes the scoring pass).", latency(repairPhase)},
+	{"zeroedd_repaired_cells_total", "counter", "Cells changed by served repair calls.", count(repairedCells)},
+	{"zeroedd_model_refits_total", "counter", "Drift-triggered background refits, by outcome.",
+		byOutcome(outcome{"started", refitsStarted}, outcome{"swapped", refitsSwapped}, outcome{"failed", refitsFailed})},
+	{"zeroedd_model_version", "gauge", "Current hot-swapped version of each registered model.",
+		func(w io.Writer, name string, s *scrape) {
+			for _, g := range s.models {
+				fmt.Fprintf(w, "%s{model=%q} %d\n", name, g.id, g.version)
+			}
+		}},
+	{"zeroedd_model_refit_breaker", "gauge", "Per-model refit circuit breaker: 1 when open (refits disabled until a successful install).",
+		perStreamModel(func(w io.Writer, name string, g modelReading) {
 			open := 0
 			if g.health.BreakerOpen {
 				open = 1
 			}
-			fmt.Fprintf(w, "zeroedd_model_refit_breaker{model=%q} %d\n", g.id, open)
+			fmt.Fprintf(w, "%s{model=%q} %d\n", name, g.id, open)
+		})},
+	{"zeroedd_model_refit_consecutive_failures", "gauge", "Consecutive failed refits since the last successful install (drives exponential backoff).",
+		perStreamModel(func(w io.Writer, name string, g modelReading) {
+			fmt.Fprintf(w, "%s{model=%q} %d\n", name, g.id, g.health.ConsecutiveFailures)
+		})},
+	{"zeroedd_model_drift", "gauge", "Streaming drift gauges per model: unseen-value rate and distribution shift against the fit-time snapshot.",
+		perStreamModel(func(w io.Writer, name string, g modelReading) {
+			fmt.Fprintf(w, "%s{model=%q,gauge=\"unseen_rate\"} %g\n", name, g.id, g.drift.UnseenRate)
+			fmt.Fprintf(w, "%s{model=%q,gauge=\"shift\"} %g\n", name, g.id, g.drift.Shift)
+			fmt.Fprintf(w, "%s{model=%q,gauge=\"rows\"} %d\n", name, g.id, g.drift.Rows)
+		})},
+}
+
+// render writes the Prometheus text exposition: every family of the
+// table that has samples, each under its # HELP and # TYPE lines.
+func (m *metrics) render(w io.Writer, byState map[JobState]int, models []modelReading) {
+	s := &scrape{m: m, byState: byState, models: models}
+	var buf bytes.Buffer
+	for _, f := range families {
+		buf.Reset()
+		f.write(&buf, f.name, s)
+		if buf.Len() == 0 {
+			continue
 		}
-		fmt.Fprintln(w, "# HELP zeroedd_model_refit_consecutive_failures Consecutive failed refits since the last successful install (drives exponential backoff).")
-		fmt.Fprintln(w, "# TYPE zeroedd_model_refit_consecutive_failures gauge")
-		for _, g := range models {
-			if !g.hasHealth {
-				continue
-			}
-			fmt.Fprintf(w, "zeroedd_model_refit_consecutive_failures{model=%q} %d\n", g.id, g.health.ConsecutiveFailures)
-		}
-	}
-	withDrift := false
-	for _, g := range models {
-		if g.hasDrift {
-			withDrift = true
-			break
-		}
-	}
-	if withDrift {
-		fmt.Fprintln(w, "# HELP zeroedd_model_drift Streaming drift gauges per model: unseen-value rate and distribution shift against the fit-time snapshot.")
-		fmt.Fprintln(w, "# TYPE zeroedd_model_drift gauge")
-		for _, g := range models {
-			if !g.hasDrift {
-				continue
-			}
-			fmt.Fprintf(w, "zeroedd_model_drift{model=%q,gauge=\"unseen_rate\"} %g\n", g.id, g.drift.UnseenRate)
-			fmt.Fprintf(w, "zeroedd_model_drift{model=%q,gauge=\"shift\"} %g\n", g.id, g.drift.Shift)
-			fmt.Fprintf(w, "zeroedd_model_drift{model=%q,gauge=\"rows\"} %d\n", g.id, g.drift.Rows)
-		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		w.Write(buf.Bytes())
 	}
 }

@@ -129,7 +129,7 @@ func (r *registry) loadDir(met *metrics) {
 		// Unreadable directory is NOT a first boot — surface it in the
 		// load-failure metric instead of silently serving an empty registry.
 		r.log.Error("model dir unreadable", "dir", r.dir, "err", err)
-		met.modelLoadFailures.Add(1)
+		met.add(modelLoadFailures, 1)
 		return
 	}
 	sweepTmp(r.dir, entries, r.log)
@@ -138,7 +138,7 @@ func (r *registry) loadDir(met *metrics) {
 		// A corrupt manifest never blocks recovery: the artifacts are the
 		// source of truth and the scan below restores from them alone.
 		r.log.Error("manifest unreadable, recovering from directory scan", "dir", r.dir, "err", err)
-		met.manifestWriteFailures.Add(1)
+		met.add(manifestWriteFailures, 1)
 		man = &manifest{Models: map[string]int{}}
 	}
 	// Group artifacts by model id: each id may carry several versions
@@ -187,7 +187,7 @@ func (r *registry) loadDir(met *metrics) {
 			path := filepath.Join(r.dir, artifactFile(id, v))
 			m, err := model.LoadFile(path)
 			if err != nil {
-				met.modelLoadFailures.Add(1)
+				met.add(modelLoadFailures, 1)
 				if model.IsCorrupt(err) {
 					quarantine(path, met, r.log)
 				}
@@ -211,7 +211,7 @@ func (r *registry) loadDir(met *metrics) {
 		if committed := man.Models[id]; committed > restored {
 			r.log.Error("manifest committed version not recovered",
 				"model", id, "committed", committed, "recovered", restored)
-			met.manifestMissing.Add(1)
+			met.add(manifestMissing, 1)
 		}
 	}
 	// Re-anchor the ledger to reality: recovery (quarantines, fallbacks)
@@ -511,9 +511,8 @@ func (s *Server) handleModelFit(w http.ResponseWriter, r *http.Request) {
 		}
 		s.reg.writeManifest(s.met)
 	}
-	s.met.modelsFitted.Add(1)
-	s.met.fitRuns.Add(1)
-	s.met.fitNanos.Add(int64(m.Info().FitRuntime)) // the fit alone, not encode/persist
+	s.met.add(modelsFitted, 1)
+	s.met.observe(fitPhase, m.Info().FitRuntime) // the fit alone, not encode/persist
 	s.met.addFitStages(m.Info().Stages)
 	out := e.status()
 	if wantTrace(r) {
@@ -612,8 +611,7 @@ func (s *Server) handleModelScore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "score_failed", err.Error())
 		return
 	}
-	s.met.scoreRuns.Add(1)
-	s.met.scoreNanos.Add(int64(res.Runtime))
+	s.met.observe(scorePhase, res.Runtime)
 	out := ScoreResult{
 		ModelID: e.id,
 		Attrs:   e.m.Attrs(),

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/table"
 	"repro/internal/zeroed"
 )
 
@@ -62,7 +63,11 @@ func TestModelFitScoreMatchesDetector(t *testing.T) {
 	// The service ingests through the same CSV path, so compare against a
 	// DetectOn over a re-parsed dataset carrying the same name (the simulated
 	// LLM derives its streams from it, exactly like the CLI does).
-	ds, err := ingestCSV("hosp", bytes.NewReader(csv), ingestLimits{})
+	src, err := table.NewCSVSource(bytes.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := ingestSource("hosp", src, ingestLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}

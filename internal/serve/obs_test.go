@@ -78,9 +78,11 @@ func TestMetricNamesPinned(t *testing.T) {
 
 	want := []string{
 		"zeroedd_build_info",
+		"zeroedd_detect_seconds_bucket",
 		"zeroedd_detect_seconds_count",
 		"zeroedd_detect_seconds_sum",
 		"zeroedd_dropped_columns_total",
+		"zeroedd_fit_seconds_bucket",
 		"zeroedd_fit_seconds_count",
 		"zeroedd_fit_seconds_sum",
 		"zeroedd_fit_stage_seconds",
@@ -106,11 +108,13 @@ func TestMetricNamesPinned(t *testing.T) {
 		"zeroedd_queue_wait_seconds_bucket",
 		"zeroedd_queue_wait_seconds_count",
 		"zeroedd_queue_wait_seconds_sum",
+		"zeroedd_repair_seconds_bucket",
 		"zeroedd_repair_seconds_count",
 		"zeroedd_repair_seconds_sum",
 		"zeroedd_repaired_cells_total",
 		"zeroedd_request_deadlines_total",
 		"zeroedd_rows_ingested_total",
+		"zeroedd_score_seconds_bucket",
 		"zeroedd_score_seconds_count",
 		"zeroedd_score_seconds_sum",
 		"zeroedd_stream_requests_total",
@@ -119,6 +123,41 @@ func TestMetricNamesPinned(t *testing.T) {
 	got, body := metricFamilies(t, ts.URL)
 	if !equalStrings(got, want) {
 		t.Errorf("metric family set drifted:\n got: %v\nwant: %v", got, want)
+	}
+
+	// Every sample belongs to a family declared by exactly one # HELP and
+	// one # TYPE line; histogram samples belong to their base name.
+	help, typ := map[string]int{}, map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) >= 4 && f[0] == "#" {
+			switch f[1] {
+			case "HELP":
+				help[f[2]]++
+			case "TYPE":
+				if _, dup := typ[f[2]]; dup {
+					t.Errorf("family %s has more than one # TYPE line", f[2])
+				}
+				typ[f[2]] = f[3]
+			}
+		}
+	}
+	for _, name := range got {
+		fam := name
+		if _, ok := typ[fam]; !ok {
+			for _, suf := range []string{"_bucket", "_sum", "_count"} {
+				if base, cut := strings.CutSuffix(name, suf); cut && typ[base] == "histogram" {
+					fam = base
+				}
+			}
+		}
+		if help[fam] != 1 || typ[fam] == "" {
+			t.Errorf("series %s: family %s has %d # HELP lines and # TYPE %q, want one of each", name, fam, help[fam], typ[fam])
+		}
+	}
+	for _, phase := range []string{"detect", "fit", "score", "repair"} {
+		if fam := "zeroedd_" + phase + "_seconds"; typ[fam] != "histogram" {
+			t.Errorf("%s is # TYPE %q, want histogram", fam, typ[fam])
+		}
 	}
 
 	// Spot-check the RED series carry real labels: the submit route with its

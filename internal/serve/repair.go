@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"net/http"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/repair"
@@ -92,18 +91,14 @@ func (s *Server) handleModelRepair(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "score_failed", err.Error())
 		return
 	}
-	s.met.scoreRuns.Add(1)
-	s.met.scoreNanos.Add(int64(res.Runtime))
+	s.met.observe(scorePhase, res.Runtime)
 
-	start := time.Now()
-	_, repSpan := obs.Start(r.Context(), "repair.apply")
+	repSpan := obs.StartPhase(r.Context(), "repair.apply")
 	fixed, fixes := repair.New(repair.Config{}).Apply(ds, res.Pred)
 	repSpan.SetInt("changes", int64(len(fixes)))
-	repSpan.End()
-	repairDur := time.Since(start)
-	s.met.repairRuns.Add(1)
-	s.met.repairNanos.Add(int64(repairDur))
-	s.met.repairedCells.Add(int64(len(fixes)))
+	repairDur, _ := repSpan.End()
+	s.met.observe(repairPhase, repairDur)
+	s.met.add(repairedCells, int64(len(fixes)))
 
 	out := RepairResult{
 		ModelID:  e.id,

@@ -286,7 +286,7 @@ const retryAfterDeadline = 2
 // Retry-After hint. The deadline is a capacity signal (the work was sound,
 // the box was slow), so it must never surface as a generic 500.
 func (s *Server) writeDeadline(w http.ResponseWriter, r *http.Request) {
-	s.met.deadlines.Add(1)
+	s.met.add(requestDeadlines, 1)
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterDeadline))
 	writeErr(w, r, http.StatusServiceUnavailable, "deadline",
 		fmt.Sprintf("request exceeded the %s server-side deadline", s.cfg.RequestTimeout))
@@ -484,16 +484,6 @@ func ingestSource(name string, src table.RowSource, lim ingestLimits) (*table.Da
 	return ds, nil
 }
 
-// ingestCSV is the CSV-only ingest path, retained for callers (and fuzz
-// corpora) that feed raw CSV bytes without a request.
-func ingestCSV(name string, r io.Reader, lim ingestLimits) (*table.Dataset, error) {
-	src, err := table.NewCSVSource(r)
-	if err != nil {
-		return nil, err
-	}
-	return ingestSource(name, src, lim)
-}
-
 // ingestUpload is the shared entry point for the whole-body endpoints
 // (jobs, fit, score, repair): negotiate the format, open the source, map it
 // onto the schema when given, and stream it into a dataset under limits.
@@ -511,8 +501,8 @@ func (s *Server) ingestUpload(name string, r *http.Request, body io.Reader, sche
 	span.SetInt("rows", int64(ds.NumRows()))
 	span.SetInt("cols", int64(ds.NumCols()))
 	if mapping != nil && len(mapping.Dropped) > 0 {
-		s.met.mappedUploads.Add(1)
-		s.met.droppedColumns.Add(int64(len(mapping.Dropped)))
+		s.met.add(mappedUploads, 1)
+		s.met.add(droppedColumns, int64(len(mapping.Dropped)))
 	}
 	return ds, mapping, nil
 }
@@ -643,5 +633,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.render(w, s.mgr.counts(), s.reg.count(), s.modelGauges())
+	s.met.render(w, s.mgr.counts(), s.modelReadings())
 }

@@ -120,7 +120,7 @@ func TestServiceMatchesDetectorBitIdentical(t *testing.T) {
 			// Reference run: exactly what cmd/zeroed computes. The dataset is
 			// re-parsed from the same CSV bytes the service receives, so both
 			// sides see identical dictionaries.
-			ref, err := table.ReadCSV("upload", bytes.NewReader(csv))
+			ref, err := table.Read("upload", table.FormatCSV, bytes.NewReader(csv))
 			if err != nil {
 				t.Fatal(err)
 			}

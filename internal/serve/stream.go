@@ -72,30 +72,6 @@ func (s *Server) dropScorer(id string) {
 	s.streams.mu.Unlock()
 }
 
-// driftReadings snapshots every live stream scorer's gauges for /metrics.
-func (s *Server) driftReadings() map[string]stats.DriftGauges {
-	s.streams.mu.Lock()
-	defer s.streams.mu.Unlock()
-	out := make(map[string]stats.DriftGauges, len(s.streams.m))
-	for id, ss := range s.streams.m {
-		g, _ := ss.Gauges()
-		out[id] = g
-	}
-	return out
-}
-
-// healthReadings snapshots every live stream scorer's refit-failure
-// containment state for /metrics.
-func (s *Server) healthReadings() map[string]zeroed.RefitHealth {
-	s.streams.mu.Lock()
-	defer s.streams.mu.Unlock()
-	out := make(map[string]zeroed.RefitHealth, len(s.streams.m))
-	for id, ss := range s.streams.m {
-		out[id] = ss.RefitHealth()
-	}
-	return out
-}
-
 // streamLine is one NDJSON verdict frame: the verdict for input row Row,
 // scored by model version Version. Scores round-trip through JSON
 // bit-exactly, so equal rows always render equal bytes.
@@ -167,7 +143,7 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	s.met.streamRequests.Add(1)
+	s.met.add(streamRequests, 1)
 
 	rows, refits := 0, 0
 	var st zeroed.ChunkStatus
@@ -180,7 +156,7 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 				case failDeadline:
 					// The 200 is already on the wire: the deadline surfaces
 					// as a typed terminal NDJSON line instead of a status.
-					s.met.deadlines.Add(1)
+					s.met.add(requestDeadlines, 1)
 					_ = enc.Encode(map[string]apiError{"error": apiErrorFor(r, "deadline",
 						fmt.Sprintf("stream exceeded the %s server-side deadline", s.cfg.RequestTimeout))})
 					return
@@ -201,11 +177,11 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			rows += len(chunk)
-			s.met.streamRows.Add(int64(len(chunk)))
+			s.met.add(streamRows, int64(len(chunk)))
 			_ = rc.Flush()
 			if cst.ShouldRefit && ss.BeginRefit() {
 				refits++
-				s.met.refitsStarted.Add(1)
+				s.met.add(refitsStarted, 1)
 				_ = enc.Encode(map[string]any{"event": "refit", "model": id, "version": cst.Version})
 				go s.runRefit(id, ss)
 			}
@@ -258,7 +234,7 @@ func (s *Server) runRefit(id string, ss *zeroed.StreamScorer) {
 				"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
 		}
 		if !ok {
-			s.met.refitFailures.Add(1)
+			s.met.add(refitsFailed, 1)
 			ss.AbortRefit()
 		}
 	}()
@@ -302,7 +278,7 @@ func (s *Server) runRefit(id string, ss *zeroed.StreamScorer) {
 		return
 	}
 	ok = true
-	s.met.refitsSwapped.Add(1)
+	s.met.add(refitsSwapped, 1)
 	s.log.Info("refit swapped", "model", id, "version", version)
 	if s.cfg.ModelDir != "" {
 		s.reg.writeManifest(s.met)

@@ -67,13 +67,6 @@ func NewCSVStream(name string, r io.Reader) (*Stream, error) {
 	return NewStream(name, src), nil
 }
 
-// ReadCSV parses a dataset from CSV with a header row. It is the one-shot
-// form of NewCSVStream: chunked and whole-file loads produce identical
-// datasets, including identical dictionary IDs.
-func ReadCSV(name string, r io.Reader) (*Dataset, error) {
-	return Read(name, FormatCSV, r)
-}
-
 // ReadCSVFile loads a dataset from a CSV file path.
 func ReadCSVFile(name, path string) (*Dataset, error) {
 	return ReadFile(name, path, FormatCSV)

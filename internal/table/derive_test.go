@@ -95,7 +95,6 @@ func TestDeriveViewsResolveBaseAndOverlay(t *testing.T) {
 	views := map[string]*Dataset{
 		"Clone":      d.Clone(),
 		"Snapshot":   d.Snapshot(),
-		"Subset":     d.Subset(2),
 		"SubsetRows": d.SubsetRows([]int{1, 0}),
 		"Derive":     d.Derive("again"),
 	}

@@ -24,7 +24,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("a;b\n1;2\n"))        // wrong delimiter (single column)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		whole, wholeErr := ReadCSV("f", bytes.NewReader(data))
+		whole, wholeErr := Read("f", FormatCSV, bytes.NewReader(data))
 
 		// Chunked load must agree with the one-shot load, including on
 		// whether the input is malformed.
@@ -65,7 +65,7 @@ func FuzzReadCSV(f *testing.F) {
 		if err := whole.WriteCSV(&buf); err != nil {
 			t.Fatalf("WriteCSV of parsed dataset: %v", err)
 		}
-		again, err := ReadCSV("f", bytes.NewReader(buf.Bytes()))
+		again, err := Read("f", FormatCSV, bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-parsing our own output: %v", err)
 		}

@@ -21,7 +21,7 @@ const messyNDJSON = `["name","addr","note"]
 `
 
 func TestNDJSONSelfDescribing(t *testing.T) {
-	d, err := ReadNDJSON("m", strings.NewReader(messyNDJSON))
+	d, err := Read("m", FormatNDJSON, strings.NewReader(messyNDJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestNDJSONObjectHeader(t *testing.T) {
 {"y":2,"x":"b"}
 ["c",null]
 `
-	d, err := ReadNDJSON("o", strings.NewReader(in))
+	d, err := Read("o", FormatNDJSON, strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +86,14 @@ func TestNDJSONErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ReadNDJSON("e", strings.NewReader(c.in))
+			_, err := Read("e", FormatNDJSON, strings.NewReader(c.in))
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %v, want it to mention %q", err, c.want)
 			}
 		})
 	}
 	// Header-only input is valid and empty, mirroring header-only CSV.
-	d, err := ReadNDJSON("e", strings.NewReader(`["a","b"]`+"\n"))
+	d, err := Read("e", FormatNDJSON, strings.NewReader(`["a","b"]`+"\n"))
 	if err != nil || d.NumRows() != 0 || d.NumCols() != 2 {
 		t.Fatalf("header-only NDJSON: %v rows=%d", err, d.NumRows())
 	}
@@ -103,15 +103,16 @@ func TestNDJSONErrors(t *testing.T) {
 // table level: the same NDJSON bytes loaded at any chunk size (and via
 // ReadAll) produce identical datasets, including dictionary IDs.
 func TestNDJSONChunkInvariance(t *testing.T) {
-	whole, err := ReadNDJSON("m", strings.NewReader(messyNDJSON))
+	whole, err := Read("m", FormatNDJSON, strings.NewReader(messyNDJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, chunk := range []int{1, 7, 64} {
-		s, err := NewNDJSONStream("m", strings.NewReader(messyNDJSON))
+		src, err := NewSource(FormatNDJSON, strings.NewReader(messyNDJSON))
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := NewStream("m", src)
 		for {
 			if _, err := s.ReadChunk(chunk); err == io.EOF {
 				break
@@ -121,10 +122,11 @@ func TestNDJSONChunkInvariance(t *testing.T) {
 		}
 		assertSameDataset(t, whole, s.Dataset())
 	}
-	s, err := NewNDJSONStream("m", strings.NewReader(messyNDJSON))
+	src, err := NewSource(FormatNDJSON, strings.NewReader(messyNDJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewStream("m", src)
 	if err := s.ReadAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +144,11 @@ func TestNDJSONMatchesCSV(t *testing.T) {
 {"a":"y","b":"2"}
 ["x",1]
 `
-	fromCSV, err := ReadCSV("t", strings.NewReader(csvIn))
+	fromCSV, err := Read("t", FormatCSV, strings.NewReader(csvIn))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromNDJSON, err := ReadNDJSON("t", strings.NewReader(ndjsonIn))
+	fromNDJSON, err := Read("t", FormatNDJSON, strings.NewReader(ndjsonIn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +261,7 @@ func TestMapSourcePermutationEqualsIdentity(t *testing.T) {
 	permuted := "b,a\n1,x\n2,y\n1,x\n"
 	superset := "junk,b,extra,a\nJ,1,E,x\nJ,2,E,y\nJ,1,E,x\n"
 
-	want, err := ReadCSV("t", strings.NewReader(identity))
+	want, err := Read("t", FormatCSV, strings.NewReader(identity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +296,7 @@ func TestMapSourcePermutationEqualsIdentity(t *testing.T) {
 }
 
 func TestProject(t *testing.T) {
-	d, err := ReadCSV("t", strings.NewReader("x,a,b\nX1,A1,B1\nX2,A1,B2\n"))
+	d, err := Read("t", FormatCSV, strings.NewReader("x,a,b\nX1,A1,B1\nX2,A1,B2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +351,12 @@ func FuzzNDJSONStream(f *testing.F) {
 		if len(data) > 4096 {
 			t.Skip("cap input size to keep executions fast")
 		}
-		whole, wholeErr := ReadNDJSON("f", bytes.NewReader(data))
+		whole, wholeErr := Read("f", FormatNDJSON, bytes.NewReader(data))
 
 		var chunked *Dataset
-		s, chunkedErr := NewNDJSONStream("f", bytes.NewReader(data))
+		src, chunkedErr := NewSource(FormatNDJSON, bytes.NewReader(data))
 		if chunkedErr == nil {
+			s := NewStream("f", src)
 			chunked = s.Dataset()
 			for chunkedErr == nil {
 				_, chunkedErr = s.ReadChunk(3)

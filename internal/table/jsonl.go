@@ -267,21 +267,3 @@ func trimSpaceBytes(b []byte) []byte {
 	}
 	return b
 }
-
-// NewNDJSONStream starts a streaming parse of a self-describing NDJSON
-// body, the NDJSON twin of NewCSVStream: the header line is decoded
-// immediately, data rows are left for ReadChunk/ReadAll, and chunked and
-// whole-input loads produce identical datasets, including dictionary IDs.
-func NewNDJSONStream(name string, r io.Reader) (*Stream, error) {
-	src, err := NewNDJSONSource(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	return NewStream(name, src), nil
-}
-
-// ReadNDJSON parses a dataset from a self-describing NDJSON body. It is
-// the one-shot form of NewNDJSONStream.
-func ReadNDJSON(name string, r io.Reader) (*Dataset, error) {
-	return Read(name, FormatNDJSON, r)
-}

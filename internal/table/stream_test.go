@@ -48,7 +48,7 @@ func assertSameDataset(t *testing.T, want, got *Dataset) {
 }
 
 func TestChunkedLoadEqualsWholeFileLoad(t *testing.T) {
-	whole, err := ReadCSV("m", strings.NewReader(messyCSV))
+	whole, err := Read("m", FormatCSV, strings.NewReader(messyCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestChunkedLoadEqualsWholeFileLoad(t *testing.T) {
 }
 
 func TestStreamReadAllEqualsReadCSV(t *testing.T) {
-	whole, err := ReadCSV("m", strings.NewReader(messyCSV))
+	whole, err := Read("m", FormatCSV, strings.NewReader(messyCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestStreamReadAllEqualsReadCSV(t *testing.T) {
 
 func TestStreamRaggedRow(t *testing.T) {
 	in := "a,b\n1,2\n3\n5,6\n"
-	if _, err := ReadCSV("r", strings.NewReader(in)); err == nil {
+	if _, err := Read("r", FormatCSV, strings.NewReader(in)); err == nil {
 		t.Fatal("ragged row must error")
 	} else if !strings.Contains(err.Error(), "row 2") {
 		t.Fatalf("ragged error should name row 2, got: %v", err)
@@ -127,24 +127,24 @@ func TestStreamRaggedRow(t *testing.T) {
 }
 
 func TestStreamEdgeCases(t *testing.T) {
-	if _, err := ReadCSV("e", strings.NewReader("")); err == nil {
+	if _, err := Read("e", FormatCSV, strings.NewReader("")); err == nil {
 		t.Error("empty input must error (no header)")
 	}
 	if _, err := NewCSVStream("e", strings.NewReader("")); err == nil {
 		t.Error("empty stream must error (no header)")
 	}
-	if _, err := ReadCSV("e", strings.NewReader("a,\"b\n")); err == nil {
+	if _, err := Read("e", FormatCSV, strings.NewReader("a,\"b\n")); err == nil {
 		t.Error("unterminated quote in header must error")
 	}
-	d, err := ReadCSV("e", strings.NewReader("a,b\n"))
+	d, err := Read("e", FormatCSV, strings.NewReader("a,b\n"))
 	if err != nil || d.NumRows() != 0 || d.NumCols() != 2 {
 		t.Errorf("header-only CSV: %v rows=%d", err, d.NumRows())
 	}
-	d, err = ReadCSV("e", strings.NewReader("a,b\r\n1,2\r\n"))
+	d, err = Read("e", FormatCSV, strings.NewReader("a,b\r\n1,2\r\n"))
 	if err != nil || d.NumRows() != 1 || d.Value(0, 1) != "2" {
 		t.Errorf("CRLF CSV: %v", err)
 	}
-	d, err = ReadCSV("e", strings.NewReader("a,b\n1,2")) // no trailing newline
+	d, err = Read("e", FormatCSV, strings.NewReader("a,b\n1,2")) // no trailing newline
 	if err != nil || d.NumRows() != 1 {
 		t.Errorf("missing trailing newline: %v", err)
 	}

@@ -319,26 +319,6 @@ func (d *Dataset) Snapshot() *Dataset {
 	return c
 }
 
-// Subset returns a new dataset containing the first n rows (or all rows if
-// n exceeds the row count). Used for scalability sweeps over Tax subsets.
-func (d *Dataset) Subset(n int) *Dataset {
-	if n > d.nrows {
-		n = d.nrows
-	}
-	c := &Dataset{Name: d.Name, Attrs: append([]string(nil), d.Attrs...), nrows: n}
-	c.cols = make([]column, len(d.cols))
-	for j := range d.cols {
-		src := &d.cols[j]
-		c.cols[j] = column{
-			ids:   append([]uint32(nil), src.ids[:n]...),
-			dict:  append([]string(nil), src.dict...),
-			base:  src.base,
-			index: maps.Clone(src.index),
-		}
-	}
-	return c
-}
-
 // SubsetRows returns a new dataset containing exactly the given rows, in
 // the given order. Row indices may repeat; they must be in range.
 func (d *Dataset) SubsetRows(rows []int) *Dataset {

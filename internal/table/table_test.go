@@ -91,21 +91,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	d := sample()
-	s := d.Subset(2)
-	if s.NumRows() != 2 {
-		t.Fatalf("Subset(2) rows = %d, want 2", s.NumRows())
-	}
-	s.SetValue(0, 0, "X")
-	if d.Value(0, 0) != "Bob Johnson" {
-		t.Error("Subset must copy rows")
-	}
-	if got := d.Subset(99).NumRows(); got != 3 {
-		t.Errorf("Subset(99) rows = %d, want 3 (clamped)", got)
-	}
-}
-
 func TestRowMap(t *testing.T) {
 	m := sample().RowMap(2)
 	if m["Name"] != "DaveGreen" || m["Education"] != "Bechxlor" {
@@ -156,7 +141,7 @@ func TestErrorMask(t *testing.T) {
 }
 
 func TestErrorMaskShapeMismatch(t *testing.T) {
-	if _, err := ErrorMask(sample(), sample().Subset(2)); err == nil {
+	if _, err := ErrorMask(sample(), sample().SubsetRows([]int{0, 1})); err == nil {
 		t.Error("shape mismatch must error")
 	}
 }
@@ -167,7 +152,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV("tax", &buf)
+	back, err := Read("tax", FormatCSV, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +169,7 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV("x", strings.NewReader("")); err == nil {
+	if _, err := Read("x", FormatCSV, strings.NewReader("")); err == nil {
 		t.Error("empty csv must error")
 	}
 }
@@ -364,7 +349,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if err := d.WriteCSV(&buf); err != nil {
 			return false
 		}
-		back, err := ReadCSV("p", &buf)
+		back, err := Read("p", FormatCSV, &buf)
 		if err != nil {
 			return false
 		}

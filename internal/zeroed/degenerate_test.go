@@ -24,7 +24,7 @@ func tinyCfg() Config {
 
 func mustCSV(t *testing.T, csv string) *table.Dataset {
 	t.Helper()
-	d, err := table.ReadCSV("t", strings.NewReader(csv))
+	d, err := table.Read("t", table.FormatCSV, strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}

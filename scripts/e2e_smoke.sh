@@ -48,15 +48,16 @@ RID="smoke-rid-$$"
 ECHOED="$(curl -fsS -D - -o /dev/null -H "X-Request-ID: $RID" "$BASE/healthz" \
   | tr -d '\r' | grep -i '^x-request-id:' | awk '{print $2}')"
 [ "$ECHOED" = "$RID" ] || { echo "e2e: X-Request-ID not echoed (got '$ECHOED')"; exit 1; }
-curl -s -H "X-Request-ID: $RID-err" "$BASE/v1/jobs/j-nope" \
-  | grep -q "\"request_id\":\"$RID-err\"" \
+ENVELOPE="$(curl -s -H "X-Request-ID: $RID-err" "$BASE/v1/jobs/j-nope")"
+echo "$ENVELOPE" | grep -q "\"request_id\":\"$RID-err\"" \
   || { echo "e2e: 404 envelope missing request_id"; exit 1; }
 grep -q "\"request_id\":\"$RID\"" "$LOG" \
   || { echo "e2e: JSON log missing the request-id line"; exit 1; }
 echo "e2e: request-id echoed in header, envelope, and JSON log"
 
 # Readiness: the model dir is writable, so the server reports ready.
-curl -fsS "$BASE/readyz" | grep -q '"status":"ready"' \
+READY="$(curl -fsS "$BASE/readyz")"
+echo "$READY" | grep -q '"status":"ready"' \
   || { echo "e2e: readyz not ready"; exit 1; }
 
 # Submit a small dataset.
@@ -80,10 +81,12 @@ done
 [ "$STATE" = done ] || { echo "e2e: timeout in state '$STATE'"; exit 1; }
 
 # The result must carry verdicts for every submitted row.
-curl -fsS "$BASE/v1/jobs/$ID/result" | grep -q '"pred":' || { echo "e2e: result missing pred"; exit 1; }
+RESULT="$(curl -fsS "$BASE/v1/jobs/$ID/result")"
+echo "$RESULT" | grep -q '"pred":' || { echo "e2e: result missing pred"; exit 1; }
 
 # Metrics must account for the finished job.
-curl -fsS "$BASE/metrics" | grep -q 'zeroedd_jobs_finished_total{outcome="done"} 1' \
+METRICS="$(curl -fsS "$BASE/metrics")"
+echo "$METRICS" | grep -q 'zeroedd_jobs_finished_total{outcome="done"} 1' \
   || { echo "e2e: metrics missing finished job"; exit 1; }
 
 # The finished job's trace: the submit request's span tree, adopted by the
@@ -285,9 +288,11 @@ echo "e2e: RED series, queue-wait histogram, and build info export"
 RING="$(curl -fsS "$DEBUG/debug/traces")"
 echo "$RING" | grep -q '"seq":' || { echo "e2e: debug trace ring is empty"; exit 1; }
 SEQ="$(echo "$RING" | sed -n 's/.*"seq":\([0-9]*\).*/\1/p' | head -1)"
-curl -fsS "$DEBUG/debug/traces/$SEQ" | grep -q '"traceEvents":' \
+CHROME="$(curl -fsS "$DEBUG/debug/traces/$SEQ")"
+echo "$CHROME" | grep -q '"traceEvents":' \
   || { echo "e2e: retained trace $SEQ is not Chrome trace_event JSON"; exit 1; }
-curl -fsS "$DEBUG/debug/failpoints" | grep -q '"failpoints":' \
+FAILPOINTS="$(curl -fsS "$DEBUG/debug/failpoints")"
+echo "$FAILPOINTS" | grep -q '"failpoints":' \
   || { echo "e2e: debug listener missing failpoint registry"; exit 1; }
 echo "e2e: debug ring serves browsable Chrome traces"
 
