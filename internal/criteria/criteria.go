@@ -1,11 +1,12 @@
 // Package criteria implements ZeroED's executable error-checking criteria
 // (Section III-B). The paper has the LLM emit Python functions like
 // `is_clean_hour_range(row, attr)`; offline we represent each criterion as
-// a typed AST value with an Eval method over a tuple. Executing every
-// criterion of an attribute against a cell yields the binary
-// error-reason-aware feature vector f_cri, exactly as `exec(f_t, D[i,j])`
-// does in the paper. Induction of criteria from serialized samples lives
-// here too, because it is the "reasoning" the simulated LLM performs.
+// a typed AST value with an EvalAt method over a tuple of a dataset.
+// Executing every criterion of an attribute against a cell yields the
+// binary error-reason-aware feature vector f_cri, exactly as
+// `exec(f_t, D[i,j])` does in the paper. Induction of criteria from
+// serialized samples lives here too, because it is the "reasoning" the
+// simulated LLM performs.
 package criteria
 
 import (
@@ -38,7 +39,7 @@ const (
 )
 
 // Criterion is one executable error-checking rule for a single attribute.
-// Eval returns true when the value *passes* (looks clean), matching the
+// EvalAt returns true when the value *passes* (looks clean), matching the
 // paper's is_clean_* convention.
 type Criterion struct {
 	Kind Kind
@@ -84,23 +85,15 @@ func (c *Criterion) String() string {
 // row-independent criteria can be memoized per unique value.
 func (c *Criterion) RowDependent() bool { return c.Kind == KindFD }
 
-// Eval executes the criterion against one tuple (as attribute→value map).
-// It returns true when the cell passes the check. Missing-value handling:
-// all kinds except NotNull treat null-like values as passing, so that the
-// "missing" signal is carried by exactly one feature rather than polluting
-// every criterion.
-func (c *Criterion) Eval(row map[string]string, attr string) bool {
-	v := row[attr]
-	if c.Kind == KindFD && !text.IsNullLike(v) {
-		return c.evalFD(v, row[c.DetAttr])
-	}
-	return c.EvalValue(v)
-}
-
 // EvalAt executes the criterion against tuple row of d, where col is the
-// index of the criterion's attribute. It is the index-based evaluation
-// hook: equivalent to Eval(d.RowMap(row), attr) but allocation-free, which
-// matters because criteria run once per cell on the feature hot path.
+// index of the criterion's attribute. It returns true when the cell passes
+// the check. Missing-value handling: all kinds except NotNull treat
+// null-like values as passing, so that the "missing" signal is carried by
+// exactly one feature rather than polluting every criterion. An FD
+// criterion reads its determinant from the same tuple; a determinant
+// attribute missing from d's schema reads as the empty value. EvalAt is
+// allocation-free, which matters because criteria run once per cell on
+// the feature hot path.
 func (c *Criterion) EvalAt(d *table.Dataset, row, col int) bool {
 	v := d.Value(row, col)
 	if c.Kind == KindFD && !text.IsNullLike(v) {
@@ -196,36 +189,9 @@ type Set struct {
 	Criteria []*Criterion
 }
 
-// Features executes every criterion against the tuple and returns the
-// binary feature vector (1.0 pass / 0.0 fail), the f_cri of Section III-B.
-func (s *Set) Features(row map[string]string) []float64 {
-	out := make([]float64, len(s.Criteria))
-	for i, c := range s.Criteria {
-		if c.Eval(row, s.Attr) {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
-// PassRate returns the fraction of criteria the tuple passes, used by
-// Algorithm 1's data-verification step (Lines 15-20).
-func (s *Set) PassRate(row map[string]string) float64 {
-	if len(s.Criteria) == 0 {
-		return 1
-	}
-	pass := 0
-	for _, c := range s.Criteria {
-		if c.Eval(row, s.Attr) {
-			pass++
-		}
-	}
-	return float64(pass) / float64(len(s.Criteria))
-}
-
-// PassRateAt is the index-based form of PassRate: it evaluates the set
-// against tuple row of d without materializing a row map. col is the index
-// of the set's attribute.
+// PassRateAt returns the fraction of the set's criteria tuple row of d
+// passes, used by Algorithm 1's data-verification step (Lines 15-20). col
+// is the index of the set's attribute; an empty set yields 1.
 func (s *Set) PassRateAt(d *table.Dataset, row, col int) float64 {
 	if len(s.Criteria) == 0 {
 		return 1
@@ -239,24 +205,10 @@ func (s *Set) PassRateAt(d *table.Dataset, row, col int) float64 {
 	return float64(pass) / float64(len(s.Criteria))
 }
 
-// AccuracyOnClean evaluates one criterion against tuples believed clean and
-// returns the fraction it passes — Algorithm 1's criteria-verification
-// statistic (Lines 8-14). rows carries tuple maps; empty input yields 1.
-func AccuracyOnClean(c *Criterion, attr string, rows []map[string]string) float64 {
-	if len(rows) == 0 {
-		return 1
-	}
-	pass := 0
-	for _, r := range rows {
-		if c.Eval(r, attr) {
-			pass++
-		}
-	}
-	return float64(pass) / float64(len(rows))
-}
-
-// AccuracyOnCleanAt is the index-based form of AccuracyOnClean: rows holds
-// tuple indices into d, col the criterion's attribute index.
+// AccuracyOnCleanAt evaluates one criterion against tuples believed clean
+// and returns the fraction it passes — Algorithm 1's criteria-verification
+// statistic (Lines 8-14). rows holds tuple indices into d, col the
+// criterion's attribute index; empty input yields 1.
 func AccuracyOnCleanAt(c *Criterion, d *table.Dataset, col int, rows []int) float64 {
 	if len(rows) == 0 {
 		return 1
@@ -270,20 +222,9 @@ func AccuracyOnCleanAt(c *Criterion, d *table.Dataset, col int, rows []int) floa
 	return float64(pass) / float64(len(rows))
 }
 
-// VerifySet removes criteria whose accuracy on believed-clean rows falls
+// VerifySetAt removes criteria whose accuracy on believed-clean rows falls
 // below threshold (the paper uses 0.5), returning the surviving set.
-func VerifySet(s *Set, cleanRows []map[string]string, threshold float64) *Set {
-	out := &Set{Attr: s.Attr}
-	for _, c := range s.Criteria {
-		if AccuracyOnClean(c, s.Attr, cleanRows) >= threshold {
-			out.Criteria = append(out.Criteria, c)
-		}
-	}
-	return out
-}
-
-// VerifySetAt is the index-based form of VerifySet: cleanRows holds tuple
-// indices into d, col the set's attribute index.
+// cleanRows holds tuple indices into d, col the set's attribute index.
 func VerifySetAt(s *Set, d *table.Dataset, col int, cleanRows []int, threshold float64) *Set {
 	out := &Set{Attr: s.Attr}
 	for _, c := range s.Criteria {
@@ -293,15 +234,3 @@ func VerifySetAt(s *Set, d *table.Dataset, col int, cleanRows []int, threshold f
 	}
 	return out
 }
-
-// rowMaps converts dataset rows (by index) into tuple maps.
-func rowMaps(d *table.Dataset, rows []int) []map[string]string {
-	out := make([]map[string]string, len(rows))
-	for i, r := range rows {
-		out[i] = d.RowMap(r)
-	}
-	return out
-}
-
-// RowMaps is the exported helper used by the pipeline and baselines.
-func RowMaps(d *table.Dataset, rows []int) []map[string]string { return rowMaps(d, rows) }

@@ -1,68 +1,73 @@
 package criteria
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/table"
 )
 
-func row(kv ...string) map[string]string {
-	m := map[string]string{}
-	for i := 0; i+1 < len(kv); i += 2 {
-		m[kv[i]] = kv[i+1]
+// data builds a dataset from a comma-separated header and rows.
+func data(header string, rows ...string) *table.Dataset {
+	d := table.New("t", strings.Split(header, ","))
+	for _, r := range rows {
+		d.MustAppendRow(strings.Split(r, ","))
 	}
-	return m
+	return d
 }
+
+// eval runs c against the single value v of attribute "x".
+func eval(c *Criterion, v string) bool { return c.EvalAt(data("x", v), 0, 0) }
 
 func TestNotNull(t *testing.T) {
 	c := &Criterion{Kind: KindNotNull, Attr: "x", Name: "nn"}
-	if c.Eval(row("x", ""), "x") {
+	if eval(c, "") {
 		t.Error("empty must fail not_null")
 	}
-	if c.Eval(row("x", "NULL"), "x") {
+	if eval(c, "NULL") {
 		t.Error("NULL placeholder must fail not_null")
 	}
-	if !c.Eval(row("x", "abc"), "x") {
+	if !eval(c, "abc") {
 		t.Error("non-null must pass")
 	}
 }
 
 func TestNullPassesOtherKinds(t *testing.T) {
 	c := &Criterion{Kind: KindRange, Attr: "x", Lo: 0, Hi: 10}
-	if !c.Eval(row("x", ""), "x") {
+	if !eval(c, "") {
 		t.Error("null-like value must pass non-null-kind criteria")
 	}
 }
 
 func TestPattern(t *testing.T) {
 	c := &Criterion{Kind: KindPattern, Attr: "x", Patterns: map[string]bool{"D[5]": true}}
-	if !c.Eval(row("x", "80000"), "x") {
+	if !eval(c, "80000") {
 		t.Error("5-digit value must pass D[5]")
 	}
-	if c.Eval(row("x", "80k"), "x") {
+	if eval(c, "80k") {
 		t.Error("wrong pattern must fail")
 	}
 }
 
 func TestDomain(t *testing.T) {
 	c := &Criterion{Kind: KindDomain, Attr: "x", Domain: map[string]bool{"phd": true, "master": true}}
-	if !c.Eval(row("x", "PhD"), "x") {
+	if !eval(c, "PhD") {
 		t.Error("domain check is case-insensitive")
 	}
-	if c.Eval(row("x", "Doctorate"), "x") {
+	if eval(c, "Doctorate") {
 		t.Error("out-of-domain must fail")
 	}
 }
 
 func TestRange(t *testing.T) {
 	c := &Criterion{Kind: KindRange, Attr: "x", Lo: 1, Hi: 12}
-	if !c.Eval(row("x", "7"), "x") {
+	if !eval(c, "7") {
 		t.Error("in-range must pass")
 	}
-	if c.Eval(row("x", "25"), "x") {
+	if eval(c, "25") {
 		t.Error("out-of-range must fail")
 	}
-	if c.Eval(row("x", "abc"), "x") {
+	if eval(c, "abc") {
 		t.Error("non-numeric must fail range")
 	}
 }
@@ -70,30 +75,30 @@ func TestRange(t *testing.T) {
 func TestFD(t *testing.T) {
 	c := &Criterion{Kind: KindFD, Attr: "Capital", DetAttr: "Country",
 		Mapping: map[string]string{"France": "Paris"}}
-	if !c.Eval(row("Country", "France", "Capital", "Paris"), "Capital") {
+	if !c.EvalAt(data("Country,Capital", "France,Paris"), 0, 1) {
 		t.Error("consistent FD must pass")
 	}
-	if c.Eval(row("Country", "France", "Capital", "Lyon"), "Capital") {
+	if c.EvalAt(data("Country,Capital", "France,Lyon"), 0, 1) {
 		t.Error("violating FD must fail")
 	}
-	if !c.Eval(row("Country", "Japan", "Capital", "Tokyo"), "Capital") {
+	if !c.EvalAt(data("Country,Capital", "Japan,Tokyo"), 0, 1) {
 		t.Error("unseen determinant must pass (no evidence)")
 	}
 }
 
 func TestCharset(t *testing.T) {
 	c := &Criterion{Kind: KindCharset, Attr: "x", AllowedClasses: map[byte]bool{'D': true}}
-	if !c.Eval(row("x", "12345"), "x") {
+	if !eval(c, "12345") {
 		t.Error("digits must pass digit charset")
 	}
-	if c.Eval(row("x", "12a45"), "x") {
+	if eval(c, "12a45") {
 		t.Error("letter must fail digit charset")
 	}
 }
 
 func TestLength(t *testing.T) {
 	c := &Criterion{Kind: KindLength, Attr: "x", MinLen: 2, MaxLen: 4}
-	if !c.Eval(row("x", "abc"), "x") || c.Eval(row("x", "a"), "x") || c.Eval(row("x", "abcde"), "x") {
+	if !eval(c, "abc") || eval(c, "a") || eval(c, "abcde") {
 		t.Error("length bounds not enforced")
 	}
 }
@@ -101,13 +106,13 @@ func TestLength(t *testing.T) {
 func TestTypoDomain(t *testing.T) {
 	c := &Criterion{Kind: KindTypoDomain, Attr: "x",
 		TypoTargets: []string{"Bachelor", "Master"}, MaxDist: 2}
-	if !c.Eval(row("x", "Bachelor"), "x") {
+	if !eval(c, "Bachelor") {
 		t.Error("exact frequent value must pass")
 	}
-	if c.Eval(row("x", "Bechxlor"), "x") {
+	if eval(c, "Bechxlor") {
 		t.Error("near-miss of a frequent value must fail (likely typo)")
 	}
-	if !c.Eval(row("x", "Doctorate"), "x") {
+	if !eval(c, "Doctorate") {
 		t.Error("distant value must pass typo check")
 	}
 }
@@ -115,14 +120,14 @@ func TestTypoDomain(t *testing.T) {
 func TestValueFreq(t *testing.T) {
 	c := &Criterion{Kind: KindValueFreq, Attr: "x", MinCount: 2,
 		Counts: map[string]int{"a": 5, "b": 1}}
-	if !c.Eval(row("x", "a"), "x") || c.Eval(row("x", "b"), "x") {
+	if !eval(c, "a") || eval(c, "b") {
 		t.Error("value frequency threshold not enforced")
 	}
 }
 
 func TestNumericType(t *testing.T) {
 	c := &Criterion{Kind: KindNumericType, Attr: "x"}
-	if !c.Eval(row("x", "3.14"), "x") || c.Eval(row("x", "pi"), "x") {
+	if !eval(c, "3.14") || eval(c, "pi") {
 		t.Error("numeric parse criterion wrong")
 	}
 }
@@ -132,39 +137,37 @@ func TestSetFeaturesAndPassRate(t *testing.T) {
 		{Kind: KindNotNull, Attr: "x"},
 		{Kind: KindRange, Attr: "x", Lo: 0, Hi: 10},
 	}}
-	f := s.Features(row("x", "5"))
-	if len(f) != 2 || f[0] != 1 || f[1] != 1 {
-		t.Errorf("Features = %v, want [1 1]", f)
+	// Row "5" passes both criteria; row "99" passes only not-null.
+	d := data("x", "5", "99")
+	if got := s.PassRateAt(d, 0, 0); got != 1 {
+		t.Errorf("PassRateAt(5) = %v, want 1", got)
 	}
-	f = s.Features(row("x", "99"))
-	if f[0] != 1 || f[1] != 0 {
-		t.Errorf("Features = %v, want [1 0]", f)
-	}
-	if got := s.PassRate(row("x", "99")); got != 0.5 {
-		t.Errorf("PassRate = %v, want 0.5", got)
+	if got := s.PassRateAt(d, 1, 0); got != 0.5 || !s.Criteria[0].EvalAt(d, 1, 0) {
+		t.Errorf("PassRateAt(99) = %v, want 0.5 from the range criterion", got)
 	}
 	empty := &Set{Attr: "x"}
-	if got := empty.PassRate(row("x", "z")); got != 1 {
-		t.Errorf("empty set PassRate = %v, want 1", got)
+	if got := empty.PassRateAt(data("x", "z"), 0, 0); got != 1 {
+		t.Errorf("empty set PassRateAt = %v, want 1", got)
 	}
 }
 
 func TestAccuracyAndVerifySet(t *testing.T) {
 	good := &Criterion{Kind: KindRange, Attr: "x", Lo: 0, Hi: 100, Name: "good"}
 	bad := &Criterion{Kind: KindRange, Attr: "x", Lo: 0, Hi: 1, Name: "bad"}
-	rows := []map[string]string{row("x", "50"), row("x", "60"), row("x", "70")}
-	if got := AccuracyOnClean(good, "x", rows); got != 1 {
+	d := data("x", "50", "60", "70")
+	rows := allRows(d)
+	if got := AccuracyOnCleanAt(good, d, 0, rows); got != 1 {
 		t.Errorf("good accuracy = %v, want 1", got)
 	}
-	if got := AccuracyOnClean(bad, "x", rows); got != 0 {
+	if got := AccuracyOnCleanAt(bad, d, 0, rows); got != 0 {
 		t.Errorf("bad accuracy = %v, want 0", got)
 	}
 	s := &Set{Attr: "x", Criteria: []*Criterion{good, bad}}
-	v := VerifySet(s, rows, 0.5)
+	v := VerifySetAt(s, d, 0, rows, 0.5)
 	if len(v.Criteria) != 1 || v.Criteria[0].Name != "good" {
-		t.Errorf("VerifySet kept %v", v.Criteria)
+		t.Errorf("VerifySetAt kept %v", v.Criteria)
 	}
-	if got := AccuracyOnClean(good, "x", nil); got != 1 {
+	if got := AccuracyOnCleanAt(good, d, 0, nil); got != 1 {
 		t.Errorf("empty rows accuracy = %v, want 1", got)
 	}
 }
@@ -204,12 +207,12 @@ func TestInduceCategorical(t *testing.T) {
 		t.Error("categorical attribute should induce a typo criterion")
 	}
 	// Clean value passes everything, typo fails at least one criterion.
-	clean := row("Education", "Master", "Salary", "70000")
-	typo := row("Education", "Mastxr", "Salary", "70000")
-	if got := s.PassRate(clean); got != 1 {
-		t.Errorf("clean PassRate = %v, want 1", got)
+	clean := data("Education,Salary", "Master,70000")
+	typo := data("Education,Salary", "Mastxr,70000")
+	if got := s.PassRateAt(clean, 0, 0); got != 1 {
+		t.Errorf("clean PassRateAt = %v, want 1", got)
 	}
-	if got := s.PassRate(typo); got >= 1 {
+	if got := s.PassRateAt(typo, 0, 0); got >= 1 {
 		t.Error("typo must fail at least one criterion")
 	}
 }
@@ -224,8 +227,8 @@ func TestInduceNumeric(t *testing.T) {
 	if !kinds[KindRange] || !kinds[KindNumericType] {
 		t.Errorf("numeric attribute should induce range+numeric criteria, got %v", kinds)
 	}
-	outlier := row("Education", "Phd", "Salary", "9000000")
-	if got := s.PassRate(outlier); got >= 1 {
+	outlier := data("Education,Salary", "Phd,9000000")
+	if got := s.PassRateAt(outlier, 0, 1); got >= 1 {
 		t.Error("extreme outlier must fail at least one criterion")
 	}
 }
@@ -246,10 +249,10 @@ func TestInduceFD(t *testing.T) {
 	if fd == nil {
 		t.Fatal("FD criterion not induced from perfectly dependent attribute")
 	}
-	if !fd.Eval(row("Country", "France", "Capital", "Paris"), "Capital") {
+	if !fd.EvalAt(data("Country,Capital", "France,Paris"), 0, 1) {
 		t.Error("consistent pair must pass")
 	}
-	if fd.Eval(row("Country", "France", "Capital", "Tokyo"), "Capital") {
+	if fd.EvalAt(data("Country,Capital", "France,Tokyo"), 0, 1) {
 		t.Error("rule violation must fail")
 	}
 }
@@ -307,20 +310,23 @@ func TestRefinePatternKeepsCleanShared(t *testing.T) {
 	}
 }
 
-// Property: Features length always equals the criteria count and contains
-// only 0/1 values.
+// Property: a tuple's pass rate is the share of the set's per-criterion
+// verdicts (its f_cri bits) that pass, so it always lies in [0, 1].
 func TestFeaturesShapeProperty(t *testing.T) {
 	d := eduDataset()
+	d.SetValue(3, 0, "Mastxr")
+	d.SetValue(5, 0, "")
 	s := Induce(d, 0, allRows(d), []int{1}, DefaultInduceOptions())
-	for i := 0; i < d.NumRows(); i += 7 {
-		f := s.Features(d.RowMap(i))
-		if len(f) != len(s.Criteria) {
-			t.Fatalf("features len %d != criteria %d", len(f), len(s.Criteria))
-		}
-		for _, b := range f {
-			if b != 0 && b != 1 {
-				t.Fatalf("non-binary feature %v", b)
+	for i := 0; i < d.NumRows(); i++ {
+		pass := 0
+		for _, c := range s.Criteria {
+			if c.EvalAt(d, i, 0) {
+				pass++
 			}
+		}
+		got := s.PassRateAt(d, i, 0)
+		if got < 0 || got > 1 || got != float64(pass)/float64(len(s.Criteria)) {
+			t.Fatalf("row %d: PassRateAt = %v, want %d/%d passing bits", i, got, pass, len(s.Criteria))
 		}
 	}
 }
@@ -328,12 +334,12 @@ func TestFeaturesShapeProperty(t *testing.T) {
 func TestVerifySetThresholdEdge(t *testing.T) {
 	// A criterion passing exactly 50% of clean rows survives at 0.5.
 	c := &Criterion{Kind: KindRange, Attr: "x", Lo: 0, Hi: 10, Name: "edge"}
-	rows := []map[string]string{row("x", "5"), row("x", "50")}
+	d := data("x", "5", "50")
 	s := &Set{Attr: "x", Criteria: []*Criterion{c}}
-	if v := VerifySet(s, rows, 0.5); len(v.Criteria) != 1 {
+	if v := VerifySetAt(s, d, 0, allRows(d), 0.5); len(v.Criteria) != 1 {
 		t.Error("criterion at exactly the threshold must survive")
 	}
-	if v := VerifySet(s, rows, 0.51); len(v.Criteria) != 0 {
+	if v := VerifySetAt(s, d, 0, allRows(d), 0.51); len(v.Criteria) != 0 {
 		t.Error("criterion below the threshold must be removed")
 	}
 }
@@ -354,7 +360,7 @@ func TestInduceDeterministic(t *testing.T) {
 
 func TestUnknownKindPasses(t *testing.T) {
 	c := &Criterion{Kind: Kind("future"), Attr: "x"}
-	if !c.Eval(row("x", "anything"), "x") {
+	if !eval(c, "anything") {
 		t.Error("unknown criterion kinds must default to pass (forward compatibility)")
 	}
 }

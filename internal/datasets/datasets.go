@@ -94,19 +94,6 @@ func Names() []string {
 	return out
 }
 
-// ComparisonSet returns the six datasets of Table III (everything except
-// the scalability-only Tax) at default sizes.
-func ComparisonSet(seed int64) []*Bench {
-	var out []*Bench
-	for _, e := range Registry() {
-		if e.Name == "Tax" {
-			continue
-		}
-		out = append(out, e.Gen(0, seed))
-	}
-	return out
-}
-
 // pick returns a seeded random element of xs.
 func pick(rng *rand.Rand, xs []string) string { return xs[rng.Intn(len(xs))] }
 

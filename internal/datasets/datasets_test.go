@@ -173,18 +173,6 @@ func TestRegistryAndByName(t *testing.T) {
 	}
 }
 
-func TestComparisonSetExcludesTax(t *testing.T) {
-	set := ComparisonSet(1)
-	if len(set) != 6 {
-		t.Fatalf("comparison set has %d datasets, want 6", len(set))
-	}
-	for _, b := range set {
-		if b.Name == "Tax" {
-			t.Error("Tax must not be in the comparison set")
-		}
-	}
-}
-
 func TestErrorTypeMixturePerDataset(t *testing.T) {
 	// Each dataset's injection log must contain its Table II error types.
 	expect := map[string][]errgen.Type{

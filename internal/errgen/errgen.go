@@ -329,19 +329,6 @@ func (c *Classifier) Classify(dirtyRow []string, row, col int) Type {
 	return Outlier
 }
 
-// TypeRates summarizes an injection log as per-type cell rates, matching
-// Table II's reporting format.
-func TypeRates(log []Injection, totalCells int) map[Type]float64 {
-	out := map[Type]float64{}
-	if totalCells == 0 {
-		return out
-	}
-	for _, inj := range log {
-		out[inj.Type] += 1.0 / float64(totalCells)
-	}
-	return out
-}
-
 // SingleTypeSpec builds a Spec that injects only one error type at the
 // given rate — the Fig. 11 per-error-type scenarios.
 func SingleTypeSpec(t Type, rate float64, seed int64) Spec {

@@ -183,17 +183,6 @@ func TestClassifyMissing(t *testing.T) {
 	}
 }
 
-func TestTypeRates(t *testing.T) {
-	log := []Injection{{Type: Missing}, {Type: Missing}, {Type: Typo}}
-	rates := TypeRates(log, 100)
-	if rates[Missing] != 0.02 || rates[Typo] != 0.01 {
-		t.Errorf("TypeRates = %v", rates)
-	}
-	if len(TypeRates(nil, 0)) != 0 {
-		t.Error("empty log -> empty rates")
-	}
-}
-
 func TestSingleTypeSpec(t *testing.T) {
 	s := SingleTypeSpec(Typo, 0.05, 9)
 	if len(s.Rates) != 1 || s.Rates[Typo] != 0.05 {

@@ -100,7 +100,6 @@ type Extractor struct {
 	cfg  Config
 	emb  *embed.Embedder
 	cf   *stats.ColumnFrequencies
-	nmi  [][]float64
 	corr [][]int // top-k correlated attribute indices per attribute
 
 	criteriaSets []*criteria.Set // per attribute, may contain nils
@@ -138,10 +137,10 @@ func NewExtractor(d *table.Dataset, cfg Config) *Extractor {
 		sort.Ints(rows)
 		nmiData = d.SubsetRows(rows)
 	}
-	e.nmi = stats.NMIMatrix(nmiData)
+	nmi := stats.NMIMatrix(nmiData)
 	e.corr = make([][]int, d.NumCols())
 	for j := range e.corr {
-		e.corr[j] = stats.TopKCorrelated(e.nmi, j, cfg.CorrK)
+		e.corr[j] = stats.TopKCorrelated(nmi, j, cfg.CorrK)
 		e.cf.BuildCoOccur(d, j, e.corr[j])
 	}
 	e.criteriaSets = make([]*criteria.Set, d.NumCols())
@@ -161,9 +160,6 @@ func NewExtractor(d *table.Dataset, cfg Config) *Extractor {
 // Correlated returns the top-k NMI-correlated attribute indices for
 // attribute j (the set R_aj).
 func (e *Extractor) Correlated(j int) []int { return e.corr[j] }
-
-// NMI returns the attribute correlation matrix.
-func (e *Extractor) NMI() [][]float64 { return e.nmi }
 
 // SetCriteria installs the (LLM-derived) criteria set for attribute j so
 // that subsequent feature vectors carry its adherence bits, and rebuilds
@@ -331,13 +327,6 @@ func (e *Extractor) FeatureInto(i, j int, out []float64) {
 	}
 }
 
-// Feature returns the unified feature vector for cell (i, j).
-func (e *Extractor) Feature(i, j int) []float64 {
-	out := make([]float64, e.Dim())
-	e.FeatureInto(i, j, out)
-	return out
-}
-
 // RowFeaturesInto writes the unified feature vectors of every cell of row
 // i into tile, a caller-owned flat row-major block of length
 // NumCols()*Dim() (cell j occupies tile[j*Dim() : (j+1)*Dim()]). Each base
@@ -369,44 +358,15 @@ func (e *Extractor) RowFeaturesInto(i int, tile []float64) {
 	}
 }
 
-// RowFeatures returns the unified feature vectors for all cells of row i,
-// computing each base vector exactly once. Allocating convenience wrapper
-// around RowFeaturesInto; the prediction hot path uses the tile form.
-func (e *Extractor) RowFeatures(i int) [][]float64 {
-	m := e.d.NumCols()
-	dim := e.Dim()
-	flat := make([]float64, m*dim)
-	e.RowFeaturesInto(i, flat)
-	out := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		out[j] = flat[j*dim : (j+1)*dim]
-	}
-	return out
-}
-
 // FeaturesInto writes the unified feature vectors of attribute j for the
 // given rows into tile, a caller-owned flat row-major block of length
-// len(rows)*Dim(). It allocates nothing in steady state.
+// len(rows)*Dim() — the clustering input for sampling (Section III-C). It
+// allocates nothing in steady state.
 func (e *Extractor) FeaturesInto(j int, rows []int, tile []float64) {
 	dim := e.Dim()
 	for idx, i := range rows {
 		e.FeatureInto(i, j, tile[idx*dim:(idx+1)*dim])
 	}
-}
-
-// ColumnFeatures materializes unified features for the given rows of one
-// attribute — the clustering input for sampling (Section III-C).
-// Allocating convenience wrapper around FeaturesInto; the clustering stage
-// consumes the flat tile directly.
-func (e *Extractor) ColumnFeatures(j int, rows []int) [][]float64 {
-	dim := e.Dim()
-	flat := make([]float64, len(rows)*dim)
-	e.FeaturesInto(j, rows, flat)
-	out := make([][]float64, len(rows))
-	for idx := range rows {
-		out[idx] = flat[idx*dim : (idx+1)*dim]
-	}
-	return out
 }
 
 // DepCols returns the sorted set of column indices whose value IDs in a

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/criteria"
@@ -20,6 +21,13 @@ func sample() *table.Dataset {
 	return d
 }
 
+// cell returns the unified feature vector of cell (i, j) via FeatureInto.
+func cell(e *Extractor, i, j int) []float64 {
+	out := make([]float64, e.Dim())
+	e.FeatureInto(i, j, out)
+	return out
+}
+
 func TestDimensions(t *testing.T) {
 	e := NewExtractor(sample(), Config{EmbedDim: 16, CorrK: 2})
 	wantBase := 1 + 2 + 3 + 16 + MaxCriteriaFeatures
@@ -28,10 +36,6 @@ func TestDimensions(t *testing.T) {
 	}
 	if got := e.Dim(); got != wantBase*3 {
 		t.Errorf("Dim = %d, want %d", got, wantBase*3)
-	}
-	f := e.Feature(0, 0)
-	if len(f) != e.Dim() {
-		t.Errorf("len(Feature) = %d, want %d", len(f), e.Dim())
 	}
 }
 
@@ -45,30 +49,8 @@ func TestCorrKClamp(t *testing.T) {
 func TestNameGenderCorrelation(t *testing.T) {
 	e := NewExtractor(sample(), DefaultConfig())
 	// Name determines Gender exactly; Gender must be among Name's top-2.
-	found := false
-	for _, q := range e.Correlated(0) {
-		if q == 1 {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(e.Correlated(0), 1) {
 		t.Errorf("Gender not in Name's correlated set %v", e.Correlated(0))
-	}
-}
-
-func TestRowFeaturesMatchesFeature(t *testing.T) {
-	e := NewExtractor(sample(), Config{EmbedDim: 8, CorrK: 2})
-	rf := e.RowFeatures(3)
-	for j := 0; j < 4; j++ {
-		f := e.Feature(3, j)
-		if len(rf[j]) != len(f) {
-			t.Fatalf("row feature dim mismatch at col %d", j)
-		}
-		for k := range f {
-			if rf[j][k] != f[k] {
-				t.Fatalf("RowFeatures != Feature at col %d index %d", j, k)
-			}
-		}
 	}
 }
 
@@ -81,8 +63,8 @@ func TestCriteriaFeaturesWired(t *testing.T) {
 	}}
 	e.SetCriteria(3, set)
 	critStart := 1 + 1 + 3 + 8
-	bad := e.Feature(0, 3)
-	good := e.Feature(1, 3)
+	bad := cell(e, 0, 3)
+	good := cell(e, 1, 3)
 	if bad[critStart] != 0 {
 		t.Errorf("failing criterion bit = %v, want 0", bad[critStart])
 	}
@@ -104,29 +86,23 @@ func TestDisableCriteriaAblation(t *testing.T) {
 	}}
 	e.SetCriteria(3, set)
 	critStart := 1 + 1 + 3 + 8
-	f := e.Feature(0, 3)
+	f := cell(e, 0, 3)
 	if f[critStart] != 1 {
 		t.Error("w/o Crit. ablation must pad criteria block with neutral 1s")
-	}
-	if len(f) != e.Dim() {
-		t.Error("ablation must not change dimensionality")
 	}
 }
 
 func TestDisableCorrelatedAblation(t *testing.T) {
 	e := NewExtractor(sample(), Config{EmbedDim: 8, CorrK: 2, DisableCorrelated: true})
-	f := e.Feature(0, 0)
-	bd := e.BaseDim()
-	for i := bd; i < len(f); i++ {
-		if f[i] != 0 {
-			t.Fatal("w/o Corr. ablation must zero the correlated blocks")
-		}
+	f := cell(e, 0, 0)
+	if slices.ContainsFunc(f[e.BaseDim():], func(v float64) bool { return v != 0 }) {
+		t.Fatal("w/o Corr. ablation must zero the correlated blocks")
 	}
 }
 
 func TestValueFrequencyFeature(t *testing.T) {
 	e := NewExtractor(sample(), Config{EmbedDim: 8, CorrK: 1})
-	f := e.Feature(0, 0) // "Alice" appears 25/100 times
+	f := cell(e, 0, 0) // "Alice" appears 25/100 times
 	if f[0] != 0.25 {
 		t.Errorf("value frequency = %v, want 0.25", f[0])
 	}
@@ -138,24 +114,24 @@ func TestValueFrequencyFeature(t *testing.T) {
 	}
 }
 
+// TestColumnFeatures checks the clustering input's layout: FeaturesInto
+// writes one Dim-wide vector per requested row and nothing past them.
 func TestColumnFeatures(t *testing.T) {
 	e := NewExtractor(sample(), Config{EmbedDim: 8, CorrK: 1})
 	rows := []int{0, 1, 2}
-	feats := e.ColumnFeatures(2, rows)
-	if len(feats) != 3 {
-		t.Fatalf("got %d feature vectors, want 3", len(feats))
-	}
-	for _, f := range feats {
-		if len(f) != e.Dim() {
-			t.Fatal("column feature dim mismatch")
-		}
+	tile := make([]float64, (len(rows)+1)*e.Dim())
+	poison(tile)
+	e.FeaturesInto(2, rows, tile)
+	written, rest := tile[:len(rows)*e.Dim()], tile[len(rows)*e.Dim():]
+	if slices.Contains(written, -999) || slices.ContainsFunc(rest, func(v float64) bool { return v != -999 }) {
+		t.Fatal("FeaturesInto must fill exactly len(rows)*Dim values")
 	}
 }
 
-// TestFeatureMatchesMapBasedCriteria cross-checks the per-value-ID
-// memoized criteria bits against the reference map-based evaluation,
+// TestFeatureMatchesEvalAtCriteria cross-checks the per-value-ID memoized
+// criteria bits against the unmemoized reference evaluation EvalAt,
 // including a row-dependent FD criterion.
-func TestFeatureMatchesMapBasedCriteria(t *testing.T) {
+func TestFeatureMatchesEvalAtCriteria(t *testing.T) {
 	d := sample()
 	d.SetValue(0, 2, "Phd")     // break Name->Education for row 0
 	d.SetValue(1, 3, "notanum") // fail numeric range
@@ -167,18 +143,54 @@ func TestFeatureMatchesMapBasedCriteria(t *testing.T) {
 			Mapping: map[string]string{"Alice": "Phd", "Bob": "Master", "Carol": "Bachelor", "Dave": "Master"}},
 	}}
 	e.SetCriteria(2, set)
-	critStart := 1 + 1 + 3 + 8
-	for i := 0; i < 8; i++ {
-		f := e.Feature(i, 2)
-		rowMap := d.RowMap(i)
+	bitsMatchEvalAt(t, e, d, 2, set)
+}
+
+// bitsMatchEvalAt checks the criteria bits the extractor writes for every
+// cell of column j against EvalAt, criterion by criterion.
+func bitsMatchEvalAt(t *testing.T, e *Extractor, d *table.Dataset, j int, set *criteria.Set) {
+	t.Helper()
+	critStart := 1 + e.cfg.CorrK + 3 + e.cfg.EmbedDim
+	for i := 0; i < d.NumRows(); i++ {
+		f := cell(e, i, j)
 		for k, c := range set.Criteria {
-			want := 0.0
-			if c.Eval(rowMap, set.Attr) {
-				want = 1.0
+			if got, want := f[critStart+k] == 1, c.EvalAt(d, i, j); got != want {
+				t.Fatalf("row %d criterion %d: extractor bit %v, EvalAt %v", i, k, got, want)
 			}
-			if f[critStart+k] != want {
-				t.Errorf("row %d criterion %d: memoized bit %v, map-based %v", i, k, f[critStart+k], want)
-			}
+		}
+	}
+}
+
+// TestFDMissingDetAttrAgrees covers FD criteria whose determinant
+// attribute is absent from the schema. Every path then reads the
+// determinant as the empty value: EvalAt directly, SetMemo keyed on the
+// own value ID alone, and the extractor through evalFDSlot's reference
+// fallback (detCol == -1). All of them must agree cell by cell.
+func TestFDMissingDetAttrAgrees(t *testing.T) {
+	d := sample()
+	d.SetValue(5, 2, "")       // null cells pass FD criteria
+	d.SetValue(6, 2, "Doctor") // fails the empty-determinant mapping
+	e := NewExtractor(d, Config{EmbedDim: 8, CorrK: 1})
+	set := &criteria.Set{Attr: "Education", Criteria: []*criteria.Criterion{
+		// The mapping's "" entry is what a missing determinant looks up.
+		{Kind: criteria.KindFD, Attr: "Education", DetAttr: "Country", Mapping: map[string]string{"": "Master"}},
+		{Kind: criteria.KindFD, Attr: "Education", DetAttr: "Country", Mapping: map[string]string{"France": "Phd"}},
+	}}
+	e.SetCriteria(2, set)
+	bitsMatchEvalAt(t, e, d, 2, set)
+	memo := criteria.NewSetMemo(d, 2, set)
+	for i := 0; i < d.NumRows(); i++ {
+		if got, want := memo.PassRateAt(i), set.PassRateAt(d, i, 2); got != want {
+			t.Fatalf("row %d: SetMemo.PassRateAt %v != PassRateAt %v", i, got, want)
+		}
+	}
+	// Rows 0 (Phd) and 6 fail the "" mapping: its accuracy here is 3/5.
+	clean := []int{0, 1, 5, 6, 7}
+	for threshold, kept := range map[float64]int{0.5: 2, 0.99: 1} {
+		want := criteria.VerifySetAt(set, d, 2, clean, threshold).Criteria
+		got := criteria.NewSetMemo(d, 2, set).Verify(clean, threshold).Set().Criteria
+		if len(want) != kept || !slices.Equal(got, want) {
+			t.Fatalf("threshold %v: Verify kept %v, VerifySetAt %v, want %d kept", threshold, got, want, kept)
 		}
 	}
 }
@@ -194,7 +206,7 @@ func TestFeatureAfterDictGrowth(t *testing.T) {
 	}}
 	e.SetCriteria(3, set)
 	d.SetValue(0, 3, "totally-novel-999999") // novel value: dict grows past the memos
-	f := e.Feature(0, 3)
+	f := cell(e, 0, 3)
 	if f[0] != 0 {
 		t.Errorf("novel value frequency = %v, want 0", f[0])
 	}
@@ -203,7 +215,7 @@ func TestFeatureAfterDictGrowth(t *testing.T) {
 		t.Errorf("novel out-of-range value must fail the range criterion, got %v", f[critStart])
 	}
 	d.SetValue(0, 3, "50000") // restore
-	g := e.Feature(0, 3)
+	g := cell(e, 0, 3)
 	if g[critStart] != 1 {
 		t.Errorf("restored value must pass the range criterion, got %v", g[critStart])
 	}
@@ -231,10 +243,13 @@ func TestFeatureIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRowFeaturesIntoMatchesFeatureInto pins the tile path against the
-// per-cell path element for element, including under the ablations.
+// TestRowFeaturesIntoMatchesFeatureInto pins both tile forms against the
+// per-cell FeatureInto element for element, including under the ablations:
+// RowFeaturesInto (every cell of a row, the scoring path) and FeaturesInto
+// (one column over a row set, the clustering path).
 func TestRowFeaturesIntoMatchesFeatureInto(t *testing.T) {
 	for _, cfg := range []Config{
+		{EmbedDim: 8, CorrK: 1},
 		{EmbedDim: 8, CorrK: 2},
 		{EmbedDim: 8, CorrK: 2, DisableCorrelated: true},
 		{EmbedDim: 8, CorrK: 2, DisableCriteria: true},
@@ -248,42 +263,35 @@ func TestRowFeaturesIntoMatchesFeatureInto(t *testing.T) {
 		}}
 		e.SetCriteria(2, set)
 		dim := e.Dim()
-		tile := make([]float64, d.NumCols()*dim)
-		cell := make([]float64, dim)
+		rowTile := make([]float64, d.NumCols()*dim)
 		for i := 0; i < 8; i++ {
-			// Poison the tile so stale values would be caught.
-			for k := range tile {
-				tile[k] = -999
-			}
-			e.RowFeaturesInto(i, tile)
+			poison(rowTile)
+			e.RowFeaturesInto(i, rowTile)
 			for j := 0; j < d.NumCols(); j++ {
-				e.FeatureInto(i, j, cell)
-				for k := 0; k < dim; k++ {
-					if tile[j*dim+k] != cell[k] {
-						t.Fatalf("cfg %+v row %d col %d idx %d: tile %v != cell %v",
-							cfg, i, j, k, tile[j*dim+k], cell[k])
-					}
+				if got := rowTile[j*dim : (j+1)*dim]; !slices.Equal(got, cell(e, i, j)) {
+					t.Fatalf("cfg %+v row %d col %d: RowFeaturesInto differs from FeatureInto", cfg, i, j)
+				}
+			}
+		}
+		rows := []int{0, 3, 7, 42, 3}
+		colTile := make([]float64, len(rows)*dim)
+		for j := 0; j < d.NumCols(); j++ {
+			poison(colTile)
+			e.FeaturesInto(j, rows, colTile)
+			for idx, i := range rows {
+				if got := colTile[idx*dim : (idx+1)*dim]; !slices.Equal(got, cell(e, i, j)) {
+					t.Fatalf("cfg %+v col %d row %d: FeaturesInto differs from FeatureInto", cfg, j, i)
 				}
 			}
 		}
 	}
 }
 
-// TestFeaturesIntoMatchesColumnFeatures pins the column-tile path.
-func TestFeaturesIntoMatchesColumnFeatures(t *testing.T) {
-	e := NewExtractor(sample(), Config{EmbedDim: 8, CorrK: 1})
-	rows := []int{0, 3, 7, 42}
-	dim := e.Dim()
-	tile := make([]float64, len(rows)*dim)
-	e.FeaturesInto(2, rows, tile)
-	ref := e.ColumnFeatures(2, rows)
-	for idx := range rows {
-		for k := 0; k < dim; k++ {
-			if tile[idx*dim+k] != ref[idx][k] {
-				t.Fatalf("row idx %d index %d: FeaturesInto %v != ColumnFeatures %v",
-					idx, k, tile[idx*dim+k], ref[idx][k])
-			}
-		}
+// poison fills a tile with a sentinel so a value a tile form fails to
+// write shows up as a mismatch.
+func poison(tile []float64) {
+	for k := range tile {
+		tile[k] = -999
 	}
 }
 
@@ -335,23 +343,13 @@ func TestDepColsCoverFeatureInputs(t *testing.T) {
 		}
 	}
 	// FD determinant (Name, col 0) must be a dependency of Salary (col 3).
-	found := false
-	for _, c := range e.DepCols(3) {
-		if c == 0 {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(e.DepCols(3), 0) {
 		t.Errorf("DepCols(3) = %v misses FD determinant column 0", e.DepCols(3))
 	}
 	// The behavioral contract: equal dep-IDs ⇒ equal features. Rows 0 and 4
 	// are replicas in sample(), so they agree on every column.
-	a := e.Feature(0, 3)
-	b := e.Feature(4, 3)
-	for k := range a {
-		if a[k] != b[k] {
-			t.Fatalf("rows with identical dep IDs differ at feature index %d", k)
-		}
+	if !slices.Equal(cell(e, 0, 3), cell(e, 4, 3)) {
+		t.Fatal("rows with identical dep IDs produce different feature vectors")
 	}
 }
 
@@ -365,11 +363,13 @@ func BenchmarkFeatureInto(b *testing.B) {
 	}
 }
 
-func BenchmarkRowFeatures(b *testing.B) {
-	e := NewExtractor(sample(), DefaultConfig())
+func BenchmarkRowFeaturesInto(b *testing.B) {
+	d := sample()
+	e := NewExtractor(d, DefaultConfig())
+	tile := make([]float64, d.NumCols()*e.Dim())
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.RowFeatures(i % 100)
+		e.RowFeaturesInto(i%100, tile)
 	}
 }

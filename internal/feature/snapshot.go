@@ -59,8 +59,8 @@ func (e *Extractor) Snapshot() *Snapshot {
 // compute the same per-value quantities, so feature vectors are
 // bit-identical either way. Every shape invariant is validated up front —
 // a corrupt snapshot returns an error, never an out-of-range panic on the
-// feature hot path. The NMI matrix is not part of the snapshot (scoring
-// never reads it); NMI() returns nil on a restored extractor.
+// feature hot path. The NMI matrix is not part of the snapshot; scoring
+// needs only the correlated sets derived from it.
 func FromSnapshot(s *Snapshot, d *table.Dataset) (*Extractor, error) {
 	if s == nil {
 		return nil, fmt.Errorf("feature: nil snapshot")

@@ -73,7 +73,6 @@ func (c *Client) GenerateGuideline(d *table.Dataset, j int, corr []int, prof *st
 		Explanation: fmt.Sprintf("Attribute %q of table %q: %d records, %d distinct values.", attr, d.Name, prof.Total, prof.Distinct),
 	}
 	col := d.Column(j)
-	n := len(col)
 
 	// Missing values.
 	g.MissingRate = float64(prof.Missing) / float64(max(prof.Total, 1))
@@ -195,34 +194,24 @@ func (c *Client) GenerateGuideline(d *table.Dataset, j int, corr []int, prof *st
 	if c.profile.GuidelineSkill < 0.8 && rng.Float64() > c.profile.GuidelineSkill {
 		g.ShapeStrict = false // weak model writes vague pattern guidance
 	}
-	_ = n
 
 	g.Text = g.Render()
 	c.charge(prompt, g.Text)
 	return g
 }
 
-// LabelBatch simulates holistic in-context labeling of one batch of cells
+// labelBatch simulates holistic in-context labeling of one batch of cells
 // of attribute j (Section III-C): the prompt carries the guideline and the
 // serialized batch (with correlated attribute values); the completion is
 // one error/clean verdict per cell. When g is nil the model labels without
 // guidelines (the "w/o Guid." ablation): it can then only use the batch
 // itself as context, which reproduces the paper's observed degradation on
 // datasets with context-dependent errors.
-func (c *Client) LabelBatch(d *table.Dataset, j int, rows []int, g *Guideline) []bool {
-	return c.labelBatch(d, j, rows, g, nil)
-}
-
-// LabelBatchDedup is LabelBatch with the guideline judgement memoized per
-// value-ID tuple (see JudgeMemo). Token charging and the per-cell seeded
-// noise stream are identical to LabelBatch; only the pure judgement is
-// replayed from the cache, so the verdicts are bit-identical. A nil memo
-// (including the nil-guideline case, where batch-only labeling is
-// inadmissible for caching) degrades to plain LabelBatch.
-func (c *Client) LabelBatchDedup(d *table.Dataset, j int, rows []int, g *Guideline, memo *JudgeMemo) []bool {
-	return c.labelBatch(d, j, rows, g, memo)
-}
-
+//
+// A non-nil memo replays the guideline judgement per value-ID tuple (see
+// JudgeMemo). Token charging and the per-cell seeded noise stream are the
+// same with or without it; only the pure judgement comes from the cache,
+// so the verdicts are bit-identical. A nil memo judges every cell afresh.
 func (c *Client) labelBatch(d *table.Dataset, j int, rows []int, g *Guideline, memo *JudgeMemo) []bool {
 	var gtext string
 	if g != nil {
@@ -326,7 +315,7 @@ func (c *Client) judgeWithGuideline(g *Guideline, d *table.Dataset, row int, v s
 		}
 	}
 	for _, fd := range g.FDs {
-		det := d.Value(row, colIndexCached(d, fd.DetAttr))
+		det := d.Value(row, d.ColIndex(fd.DetAttr))
 		if want, ok := fd.Mapping[det]; ok && v != want {
 			return true
 		}
@@ -383,10 +372,6 @@ func verdicts(labels []bool) string {
 	}
 	return b.String()
 }
-
-// colIndexCached is a plain lookup; datasets are narrow enough that linear
-// scan is cheaper than maintaining a map per call site.
-func colIndexCached(d *table.Dataset, attr string) int { return d.ColIndex(attr) }
 
 // GenerateCriteria simulates the criteria-reasoning prompt of Section
 // III-B: serialized random sample tuples in, executable error-checking

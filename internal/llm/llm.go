@@ -22,9 +22,7 @@
 package llm
 
 import (
-	"fmt"
 	"hash/fnv"
-	"io"
 	"math/rand"
 	"sync"
 )
@@ -59,43 +57,15 @@ func (u Usage) Total() int64 { return u.InputTokens + u.OutputTokens }
 type Client struct {
 	profile Profile
 
-	mu         sync.Mutex
-	usage      Usage
-	cached     map[uint64]bool // prompt-prefix cache (see chargeCached)
-	transcript io.Writer       // optional prompt/completion log
-}
-
-// SetTranscript directs a human-readable log of every prompt/completion
-// pair to w (nil disables). Useful for debugging what the simulated model
-// "saw" — the offline analogue of an LLM gateway's request log.
-func (c *Client) SetTranscript(w io.Writer) {
-	c.mu.Lock()
-	c.transcript = w
-	c.mu.Unlock()
-}
-
-func (c *Client) record(prompt, completion string) {
-	if c.transcript == nil {
-		return
-	}
-	fmt.Fprintf(c.transcript, "=== call %d (model %s) ===\n--- prompt (%d tokens) ---\n%s\n--- completion (%d tokens) ---\n%s\n\n",
-		c.usage.Calls, c.profile.Name, Tokens(prompt), truncate(prompt, 2000), Tokens(completion), truncate(completion, 2000))
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "...[truncated]"
+	mu     sync.Mutex
+	usage  Usage
+	cached map[uint64]bool // prompt-prefix cache (see chargeCached)
 }
 
 // NewClient creates a client backed by the given model profile.
 func NewClient(p Profile) *Client {
 	return &Client{profile: p}
 }
-
-// Profile returns the model profile the client simulates.
-func (c *Client) Profile() Profile { return c.profile }
 
 // Usage returns a snapshot of accumulated token usage.
 func (c *Client) Usage() Usage {
@@ -104,20 +74,12 @@ func (c *Client) Usage() Usage {
 	return c.usage
 }
 
-// ResetUsage zeroes the accumulated usage counters.
-func (c *Client) ResetUsage() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.usage = Usage{}
-}
-
 // charge records one call with the given prompt and completion text.
 func (c *Client) charge(prompt, completion string) {
 	c.mu.Lock()
 	c.usage.InputTokens += Tokens(prompt)
 	c.usage.OutputTokens += Tokens(completion)
 	c.usage.Calls++
-	c.record(prompt, completion)
 	c.mu.Unlock()
 }
 
@@ -141,7 +103,6 @@ func (c *Client) chargeCached(prefix, suffix, completion string) {
 	c.usage.InputTokens += Tokens(suffix)
 	c.usage.OutputTokens += Tokens(completion)
 	c.usage.Calls++
-	c.record(prefix+suffix, completion)
 	c.mu.Unlock()
 }
 

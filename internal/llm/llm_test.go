@@ -1,7 +1,7 @@
 package llm
 
 import (
-	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,6 +29,16 @@ func allRows(d *table.Dataset) []int {
 	return rows
 }
 
+// label runs LabelBatch with a background context; nil memo is memo off.
+func label(t *testing.T, c *Client, d *table.Dataset, j int, rows []int, g *Guideline, memo *JudgeMemo) []bool {
+	t.Helper()
+	out, err := c.LabelBatch(context.Background(), d, j, rows, g, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestTokens(t *testing.T) {
 	if Tokens("") != 0 {
 		t.Error("empty string has 0 tokens")
@@ -48,10 +58,6 @@ func TestUsageAccumulates(t *testing.T) {
 	u := c.Usage()
 	if u.Calls != 1 || u.InputTokens == 0 || u.OutputTokens == 0 {
 		t.Errorf("usage = %+v, want nonzero tokens and 1 call", u)
-	}
-	c.ResetUsage()
-	if c.Usage().Total() != 0 {
-		t.Error("ResetUsage must zero counters")
 	}
 	var agg Usage
 	agg.Add(Usage{InputTokens: 3, OutputTokens: 4, Calls: 1})
@@ -114,7 +120,7 @@ func TestLabelBatchFindsInjectedErrors(t *testing.T) {
 	detected := func(j int, rows []int, corr []int) int {
 		prof := c.DistributionAnalysis(d, j, allRows(d)[:8])
 		g := c.GenerateGuideline(d, j, corr, prof, allRows(d)[:8])
-		labels := c.LabelBatch(d, j, rows, g)
+		labels := label(t, c, d, j, rows, g, nil)
 		n := 0
 		for _, l := range labels {
 			if l {
@@ -144,7 +150,7 @@ func TestLabelBatchWithoutGuideline(t *testing.T) {
 	c := NewClient(Qwen72B)
 	d := hospital()
 	d.SetValue(0, 0, "")
-	labels := c.LabelBatch(d, 0, []int{0, 1, 2}, nil)
+	labels := label(t, c, d, 0, []int{0, 1, 2}, nil, nil)
 	if !labels[0] {
 		t.Error("missing value must be caught even without guideline")
 	}
@@ -213,7 +219,7 @@ func TestDeterministicAcrossClients(t *testing.T) {
 		c := NewClient(Qwen72B)
 		prof := c.DistributionAnalysis(d, 0, allRows(d)[:6])
 		g := c.GenerateGuideline(d, 0, []int{1}, prof, allRows(d)[:6])
-		return c.LabelBatch(d, 0, allRows(d)[:30], g)
+		return label(t, c, d, 0, allRows(d)[:30], g, nil)
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -279,7 +285,7 @@ func TestGPT4oMiniNoisierThanQwen72(t *testing.T) {
 		c := NewClient(p)
 		prof := c.DistributionAnalysis(d, 0, allRows(d)[:6])
 		g := c.GenerateGuideline(d, 0, []int{1}, prof, allRows(d)[:6])
-		labels := c.LabelBatch(d, 0, allRows(d), g)
+		labels := label(t, c, d, 0, allRows(d), g, nil)
 		n := 0
 		for _, l := range labels {
 			if l {
@@ -294,31 +300,15 @@ func TestGPT4oMiniNoisierThanQwen72(t *testing.T) {
 	}
 }
 
-func TestTranscriptRecording(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewClient(Qwen72B)
-	c.SetTranscript(&buf)
-	d := hospital()
-	c.DistributionAnalysis(d, 0, []int{0, 1})
-	c.LabelBatch(d, 0, []int{0, 1}, nil)
-	log := buf.String()
-	if !strings.Contains(log, "=== call") || !strings.Contains(log, "prompt") {
-		t.Errorf("transcript missing structure: %q", log[:min(120, len(log))])
-	}
-	if strings.Count(log, "=== call") != 2 {
-		t.Errorf("transcript should have 2 calls, got %d", strings.Count(log, "=== call"))
-	}
-}
-
 func TestPromptPrefixCache(t *testing.T) {
 	d := hospital()
 	c := NewClient(Qwen72B)
 	prof := c.DistributionAnalysis(d, 0, []int{0, 1, 2})
 	g := c.GenerateGuideline(d, 0, []int{1}, prof, []int{0, 1, 2})
 	base := c.Usage().InputTokens
-	c.LabelBatch(d, 0, []int{0, 1}, g)
+	label(t, c, d, 0, []int{0, 1}, g, nil)
 	first := c.Usage().InputTokens - base
-	c.LabelBatch(d, 0, []int{2, 3}, g)
+	label(t, c, d, 0, []int{2, 3}, g, nil)
 	second := c.Usage().InputTokens - base - first
 	if second >= first {
 		t.Errorf("second batch should reuse the cached guideline prefix: first=%d second=%d", first, second)

@@ -3,9 +3,10 @@ package llm
 import "testing"
 
 // TestLabelBatchDedupMatchesLabelBatch pins the labeling memo's exactness
-// contract: LabelBatchDedup produces identical verdicts and identical token
-// charges to LabelBatch, batch by batch, on a dataset with heavy value
-// duplication and injected errors.
+// contract: LabelBatch deduping through a JudgeMemo produces identical
+// verdicts and identical token charges to LabelBatch with a nil memo,
+// batch by batch, on a dataset with heavy value duplication and injected
+// errors.
 func TestLabelBatchDedupMatchesLabelBatch(t *testing.T) {
 	build := func() (*Client, []*Guideline) { return NewClient(Qwen72B), nil }
 
@@ -28,8 +29,8 @@ func TestLabelBatchDedupMatchesLabelBatch(t *testing.T) {
 		memo := NewJudgeMemo(dMemo, j, gM)
 		for s := 0; s < len(rows); s += 20 {
 			end := min(s+20, len(rows))
-			want := cPlain.LabelBatch(dPlain, j, rows[s:end], gP)
-			got := cMemo.LabelBatchDedup(dMemo, j, rows[s:end], gM, memo)
+			want := label(t, cPlain, dPlain, j, rows[s:end], gP, nil)
+			got := label(t, cMemo, dMemo, j, rows[s:end], gM, memo)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("col %d row %d: memo verdict %v != plain %v", j, rows[s:end][i], got[i], want[i])
@@ -47,8 +48,8 @@ func TestLabelBatchDedupMatchesLabelBatch(t *testing.T) {
 }
 
 // TestNewJudgeMemoNilGuideline pins the inadmissibility rule: batch-only
-// labeling (nil guideline) never gets a memo, and LabelBatchDedup with a
-// nil memo equals LabelBatch.
+// labeling (nil guideline) never gets a memo, and LabelBatch with the
+// memo NewJudgeMemo returns for it equals LabelBatch with a nil memo.
 func TestNewJudgeMemoNilGuideline(t *testing.T) {
 	d := hospital()
 	if NewJudgeMemo(d, 0, nil) != nil {
@@ -57,8 +58,8 @@ func TestNewJudgeMemoNilGuideline(t *testing.T) {
 	c1 := NewClient(Qwen72B)
 	c2 := NewClient(Qwen72B)
 	rows := []int{0, 1, 2, 3, 4}
-	a := c1.LabelBatch(d, 0, rows, nil)
-	b := c2.LabelBatchDedup(d, 0, rows, nil, nil)
+	a := label(t, c1, d, 0, rows, nil, nil)
+	b := label(t, c2, d, 0, rows, nil, NewJudgeMemo(d, 0, nil))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d: verdict differs", rows[i])

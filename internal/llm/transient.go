@@ -15,8 +15,10 @@ import (
 // 429/503 that never reached the model.
 var fpJudgeTransient = faultpoint.New("llm.judge.transient")
 
-// LabelBatchTransient is LabelBatchDedup behind a jittered-exponential
-// retry loop for transient backend failures.
+// LabelBatch labels one batch of cells of attribute j (see labelBatch for
+// the prompt, the nil-guideline ablation and the optional memo) behind a
+// jittered-exponential retry loop for transient backend failures. memo may
+// be nil, which turns the judgement dedup off.
 //
 // Bit-identity contract: a call that succeeds after retries returns the
 // exact verdicts (and charges the exact tokens) of a call that succeeded
@@ -27,7 +29,7 @@ var fpJudgeTransient = faultpoint.New("llm.judge.transient")
 // many attempts preceded it; and (3) the retrier's jitter uses its own
 // seeded stream (see package retry). The seed is derived per batch so
 // backoff timing is itself reproducible.
-func (c *Client) LabelBatchTransient(ctx context.Context, d *table.Dataset, j int, rows []int, g *Guideline, memo *JudgeMemo) ([]bool, error) {
+func (c *Client) LabelBatch(ctx context.Context, d *table.Dataset, j int, rows []int, g *Guideline, memo *JudgeMemo) ([]bool, error) {
 	var out []bool
 	first := -1
 	if len(rows) > 0 {

@@ -213,16 +213,6 @@ func decode(data []byte) (*zeroed.Model, error) {
 	return zeroed.ModelFromState(st)
 }
 
-// Save writes the artifact to w.
-func Save(w io.Writer, m *zeroed.Model) error {
-	data, err := Encode(m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
 // Load reads one artifact from r (to EOF, bounded) and decodes it.
 func Load(r io.Reader) (*zeroed.Model, error) {
 	data, err := io.ReadAll(io.LimitReader(r, maxArtifactBytes))

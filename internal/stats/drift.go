@@ -111,9 +111,6 @@ func (t *DriftTracker) ObserveRow(row []string) error {
 	return nil
 }
 
-// Rows returns how many rows have been observed.
-func (t *DriftTracker) Rows() int { return t.obsRows }
-
 // Gauges computes the current drift reading. With no observations both
 // gauges are zero.
 func (t *DriftTracker) Gauges() DriftGauges {

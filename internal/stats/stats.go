@@ -108,16 +108,6 @@ func (cf *ColumnFrequencies) ValueFrequencyID(j int, id uint32) float64 {
 	return float64(cf.counts[j][id]) / float64(cf.n)
 }
 
-// ValueFrequency returns count(v in attr j) / N, the paper's value
-// frequency for D[i,j].
-func (cf *ColumnFrequencies) ValueFrequency(j int, v string) float64 {
-	id, ok := cf.d.LookupID(j, v)
-	if !ok {
-		return 0
-	}
-	return cf.ValueFrequencyID(j, id)
-}
-
 // VicinityFrequencyID returns count(idj co-occurring with idq) /
 // count(idq): how often the value idq in attribute q determines idj in
 // attribute j. BuildCoOccur must have been called for the (j,q) pair.
@@ -136,16 +126,6 @@ func (cf *ColumnFrequencies) VicinityFrequencyID(j, q int, idj, idq uint32) floa
 	return float64(co[uint64(idj)<<32|uint64(idq)]) / float64(denom)
 }
 
-// VicinityFrequency is the string-keyed form of VicinityFrequencyID.
-func (cf *ColumnFrequencies) VicinityFrequency(j, q int, vj, vq string) float64 {
-	idj, okj := cf.d.LookupID(j, vj)
-	idq, okq := cf.d.LookupID(q, vq)
-	if !okj || !okq {
-		return 0
-	}
-	return cf.VicinityFrequencyID(j, q, idj, idq)
-}
-
 // PatternFrequencyID returns the fraction of values in attribute j whose
 // generalized pattern at the given level matches that of value ID id.
 func (cf *ColumnFrequencies) PatternFrequencyID(j int, id uint32, level text.PatternLevel) float64 {
@@ -154,26 +134,11 @@ func (cf *ColumnFrequencies) PatternFrequencyID(j int, id uint32, level text.Pat
 	}
 	lvl := int(level) - 1
 	ofID := cf.patOfID[lvl][j]
-	if int(id) >= len(ofID) {
-		// Value interned after the scan: resolve its pattern by string.
-		return cf.patternFrequencyString(j, cf.d.DictValue(j, id), level)
+	if int(id) < len(ofID) {
+		return float64(cf.patCounts[lvl][j][ofID[id]]) / float64(cf.n)
 	}
-	return float64(cf.patCounts[lvl][j][ofID[id]]) / float64(cf.n)
-}
-
-// PatternFrequency returns the fraction of values in attribute j whose
-// generalized pattern at the given level matches that of v.
-func (cf *ColumnFrequencies) PatternFrequency(j int, v string, level text.PatternLevel) float64 {
-	if cf.n == 0 {
-		return 0
-	}
-	return cf.patternFrequencyString(j, v, level)
-}
-
-func (cf *ColumnFrequencies) patternFrequencyString(j int, v string, level text.PatternLevel) float64 {
-	lvl := int(level) - 1
-	p := text.Generalize(v, level)
-	pid, ok := cf.patIndex[lvl][j][p]
+	// Value interned after the scan: resolve its pattern by string.
+	pid, ok := cf.patIndex[lvl][j][text.Generalize(cf.d.DictValue(j, id), level)]
 	if !ok {
 		return 0
 	}
@@ -236,27 +201,6 @@ func ExpectedDepIDs(d *table.Dataset, det, dep int, mapping map[string]string, s
 	return out
 }
 
-// Entropy computes the Shannon entropy (nats) of an attribute's empirical
-// value distribution. The accumulation is order-independent (terms are
-// sorted before summing) so results are bit-identical across runs despite
-// Go's randomized map iteration.
-func Entropy(values []string) float64 {
-	counts := make(map[string]int)
-	for _, v := range values {
-		counts[v]++
-	}
-	n := float64(len(values))
-	if n == 0 {
-		return 0
-	}
-	terms := make([]float64, 0, len(counts))
-	for _, c := range counts {
-		p := float64(c) / n
-		terms = append(terms, -p*math.Log(p))
-	}
-	return stableSum(terms)
-}
-
 // stableSum adds terms in sorted order, making float accumulation
 // independent of the (randomized) map iteration that produced them.
 func stableSum(terms []float64) float64 {
@@ -268,52 +212,13 @@ func stableSum(terms []float64) float64 {
 	return s
 }
 
-// MutualInformation computes I(X;Y) in nats from two parallel columns.
-func MutualInformation(x, y []string) float64 {
-	if len(x) != len(y) || len(x) == 0 {
-		return 0
-	}
-	n := float64(len(x))
-	px := make(map[string]float64)
-	py := make(map[string]float64)
-	pxy := make(map[[2]string]float64)
-	for i := range x {
-		px[x[i]]++
-		py[y[i]]++
-		pxy[[2]string{x[i], y[i]}]++
-	}
-	terms := make([]float64, 0, len(pxy))
-	for k, c := range pxy {
-		pj := c / n
-		terms = append(terms, pj*math.Log(pj/((px[k[0]]/n)*(py[k[1]]/n))))
-	}
-	mi := stableSum(terms)
-	if mi < 0 {
-		mi = 0 // guard against floating-point round-off
-	}
-	return mi
-}
-
-// NMI computes the normalized mutual information of Section III-B:
-// I(X;Y)/sqrt(H(X)H(Y)), in [0,1]. Degenerate (constant) attributes have
-// zero entropy and yield NMI 0.
-func NMI(x, y []string) float64 {
-	hx, hy := Entropy(x), Entropy(y)
-	if hx == 0 || hy == 0 {
-		return 0
-	}
-	v := MutualInformation(x, y) / math.Sqrt(hx*hy)
-	if v > 1 {
-		v = 1 // floating-point guard
-	}
-	return v
-}
-
-// NMIMatrix computes pairwise NMI between all attributes of d. It works
-// over dictionary value IDs — counting integer IDs instead of hashing full
-// value strings — and produces bit-identical results to the string-keyed
-// NMI: the count multisets are the same and accumulation uses the same
-// order-independent stableSum.
+// NMIMatrix computes the normalized mutual information of Section III-B,
+// I(X;Y)/sqrt(H(X)H(Y)) in [0,1], between every pair of attributes of d,
+// with a unit diagonal. Degenerate (constant) attributes have zero entropy
+// and yield NMI 0. It works over dictionary value IDs, counting integer IDs
+// instead of hashing value strings, and every entropy and mutual
+// information sum goes through the order-independent stableSum, so the
+// matrix is bit-identical across runs.
 func NMIMatrix(d *table.Dataset) [][]float64 {
 	m := d.NumCols()
 	n := d.NumRows()
@@ -349,7 +254,8 @@ func NMIMatrix(d *table.Dataset) [][]float64 {
 	return mat
 }
 
-// entropyFromCounts is Entropy over a precomputed count vector (zero
+// entropyFromCounts computes the Shannon entropy (nats) of a column's
+// empirical value distribution from its per-value-ID count vector (zero
 // entries are skipped; they denote dict values absent from the column).
 func entropyFromCounts(counts []float64, n float64) float64 {
 	if n == 0 {
@@ -366,8 +272,8 @@ func entropyFromCounts(counts []float64, n float64) float64 {
 	return stableSum(terms)
 }
 
-// miIDs is MutualInformation over ID-encoded columns with precomputed
-// marginal counts.
+// miIDs computes the mutual information I(X;Y) in nats of two ID-encoded
+// columns with precomputed marginal counts.
 func miIDs(x, y []uint32, cx, cy []float64, n float64) float64 {
 	joint := make(map[uint64]float64, len(cx))
 	for i := range x {

@@ -18,13 +18,22 @@ func sample() *table.Dataset {
 	return d
 }
 
+// idOf returns the value ID of v in column j of d.
+func idOf(d *table.Dataset, j int, v string) uint32 {
+	id, _ := d.LookupID(j, v)
+	return id
+}
+
 func TestValueFrequency(t *testing.T) {
-	cf := NewColumnFrequencies(sample())
-	if got := cf.ValueFrequency(0, "Carol"); got != 0.5 {
-		t.Errorf("ValueFrequency(Carol) = %v, want 0.5", got)
+	d := sample()
+	cf := NewColumnFrequencies(d)
+	if got := cf.ValueFrequencyID(0, idOf(d, 0, "Carol")); got != 0.5 {
+		t.Errorf("ValueFrequencyID(Carol) = %v, want 0.5", got)
 	}
-	if got := cf.ValueFrequency(0, "Zed"); got != 0 {
-		t.Errorf("ValueFrequency(Zed) = %v, want 0", got)
+	// A value interned after the scan has zero frequency.
+	d.SetValue(0, 0, "Zed")
+	if got := cf.ValueFrequencyID(0, idOf(d, 0, "Zed")); got != 0 {
+		t.Errorf("ValueFrequencyID(Zed) = %v, want 0", got)
 	}
 }
 
@@ -32,41 +41,60 @@ func TestVicinityFrequency(t *testing.T) {
 	d := sample()
 	cf := NewColumnFrequencies(d)
 	cf.BuildCoOccur(d, 1, []int{0})
+	carol := idOf(d, 0, "Carol")
 	// Carol always co-occurs with F: count(F|Carol)/count(Carol) = 2/2.
-	if got := cf.VicinityFrequency(1, 0, "F", "Carol"); got != 1 {
-		t.Errorf("VicinityFrequency(F|Carol) = %v, want 1", got)
+	if got := cf.VicinityFrequencyID(1, 0, idOf(d, 1, "F"), carol); got != 1 {
+		t.Errorf("VicinityFrequencyID(F|Carol) = %v, want 1", got)
 	}
 	// M given Carol never happens.
-	if got := cf.VicinityFrequency(1, 0, "M", "Carol"); got != 0 {
-		t.Errorf("VicinityFrequency(M|Carol) = %v, want 0", got)
+	if got := cf.VicinityFrequencyID(1, 0, idOf(d, 1, "M"), carol); got != 0 {
+		t.Errorf("VicinityFrequencyID(M|Carol) = %v, want 0", got)
 	}
 }
 
 func TestPatternFrequency(t *testing.T) {
-	cf := NewColumnFrequencies(sample())
+	d := sample()
+	cf := NewColumnFrequencies(d)
 	// All four salaries are D[5] at L3.
-	if got := cf.PatternFrequency(2, "80000", text.L3); got != 1 {
-		t.Errorf("PatternFrequency = %v, want 1", got)
+	if got := cf.PatternFrequencyID(2, idOf(d, 2, "80000"), text.L3); got != 1 {
+		t.Errorf("PatternFrequencyID = %v, want 1", got)
 	}
-	if got := cf.PatternFrequency(2, "8000x", text.L3); got != 0 {
-		t.Errorf("PatternFrequency for unseen pattern = %v, want 0", got)
+	// Values interned after the scan resolve their pattern by string: an
+	// unseen pattern has frequency 0, a seen one its column share.
+	d.SetValue(0, 2, "8000x")
+	if got := cf.PatternFrequencyID(2, idOf(d, 2, "8000x"), text.L3); got != 0 {
+		t.Errorf("PatternFrequencyID for unseen pattern = %v, want 0", got)
+	}
+	d.SetValue(0, 2, "12345")
+	if got := cf.PatternFrequencyID(2, idOf(d, 2, "12345"), text.L3); got != 1 {
+		t.Errorf("PatternFrequencyID for a novel value of a seen pattern = %v, want 1", got)
 	}
 }
 
 func TestEntropy(t *testing.T) {
-	if got := Entropy([]string{"a", "a", "a"}); got != 0 {
-		t.Errorf("Entropy(constant) = %v, want 0", got)
+	if got := entropyFromCounts([]float64{3}, 3); got != 0 {
+		t.Errorf("entropy(constant) = %v, want 0", got)
 	}
-	got := Entropy([]string{"a", "b"})
+	// Zero counts are stale dict entries and contribute nothing.
+	got := entropyFromCounts([]float64{1, 0, 1}, 2)
 	if math.Abs(got-math.Log(2)) > 1e-12 {
-		t.Errorf("Entropy(uniform 2) = %v, want ln2", got)
+		t.Errorf("entropy(uniform 2) = %v, want ln2", got)
 	}
+}
+
+// nmi returns NMIMatrix's entry for the two-column dataset (x, y).
+func nmi(x, y []string) float64 {
+	d := table.New("t", []string{"x", "y"})
+	for i := range x {
+		d.MustAppendRow([]string{x[i], y[i]})
+	}
+	return NMIMatrix(d)[0][1]
 }
 
 func TestNMIPerfectDependence(t *testing.T) {
 	x := []string{"a", "b", "a", "b"}
 	y := []string{"1", "2", "1", "2"}
-	if got := NMI(x, y); math.Abs(got-1) > 1e-9 {
+	if got := nmi(x, y); math.Abs(got-1) > 1e-9 {
 		t.Errorf("NMI(perfectly dependent) = %v, want 1", got)
 	}
 }
@@ -74,13 +102,13 @@ func TestNMIPerfectDependence(t *testing.T) {
 func TestNMIIndependence(t *testing.T) {
 	x := []string{"a", "a", "b", "b"}
 	y := []string{"1", "2", "1", "2"}
-	if got := NMI(x, y); got > 1e-9 {
+	if got := nmi(x, y); got > 1e-9 {
 		t.Errorf("NMI(independent) = %v, want ~0", got)
 	}
 }
 
 func TestNMIDegenerateColumn(t *testing.T) {
-	if got := NMI([]string{"a", "a"}, []string{"1", "2"}); got != 0 {
+	if got := nmi([]string{"a", "a"}, []string{"1", "2"}); got != 0 {
 		t.Errorf("NMI with constant column = %v, want 0", got)
 	}
 }
@@ -101,7 +129,7 @@ func TestNMIProperties(t *testing.T) {
 			x[i] = string(rune('a' + xs[i]%4))
 			y[i] = string(rune('p' + ys[i]%4))
 		}
-		a, b := NMI(x, y), NMI(y, x)
+		a, b := nmi(x, y), nmi(y, x)
 		return math.Abs(a-b) < 1e-9 && a >= 0 && a <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -225,13 +253,9 @@ func TestValueFrequencySumsToOne(t *testing.T) {
 	d := sample()
 	cf := NewColumnFrequencies(d)
 	for j := 0; j < d.NumCols(); j++ {
-		seen := map[string]bool{}
 		sum := 0.0
-		for _, v := range d.Column(j) {
-			if !seen[v] {
-				seen[v] = true
-				sum += cf.ValueFrequency(j, v)
-			}
+		for id := range d.DictSize(j) {
+			sum += cf.ValueFrequencyID(j, uint32(id))
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Errorf("col %d: distinct value frequencies sum to %v, want 1", j, sum)
@@ -245,9 +269,9 @@ func TestPatternFrequencyBounds(t *testing.T) {
 	d := sample()
 	cf := NewColumnFrequencies(d)
 	for j := 0; j < d.NumCols(); j++ {
-		for _, v := range d.Column(j) {
+		for _, id := range d.ColumnIDs(j) {
 			for _, lvl := range []text.PatternLevel{text.L1, text.L2, text.L3} {
-				f := cf.PatternFrequency(j, v, lvl)
+				f := cf.PatternFrequencyID(j, id, lvl)
 				if f <= 0 || f > 1 {
 					t.Fatalf("pattern frequency %v out of (0,1]", f)
 				}
@@ -264,12 +288,15 @@ func TestStableSumOrderIndependent(t *testing.T) {
 	}
 }
 
+// The mutual-information sums iterate a map, so only stableSum keeps the
+// NMI matrix bit-identical from run to run.
 func TestEntropyDeterministicAcrossRuns(t *testing.T) {
-	vals := []string{"a", "b", "c", "a", "b", "a", "d", "e", "f", "g"}
-	first := Entropy(vals)
+	x := []string{"a", "b", "c", "a", "b", "a", "d", "e", "f", "g"}
+	y := []string{"p", "q", "r", "p", "q", "r", "p", "q", "r", "p"}
+	first := nmi(x, y)
 	for i := 0; i < 50; i++ {
-		if Entropy(vals) != first {
-			t.Fatal("Entropy must be bit-identical across calls")
+		if got := nmi(x, y); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("NMIMatrix must be bit-identical across calls: %v != %v", got, first)
 		}
 	}
 }

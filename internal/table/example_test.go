@@ -6,11 +6,14 @@ import (
 	"repro/internal/table"
 )
 
-func ExampleDataset_SerializeTuple() {
+func ExampleDataset_SerializeRows() {
 	d := table.New("tax", []string{"Name", "Salary"})
 	d.MustAppendRow([]string{"Carol Brown", "60000"})
-	fmt.Println(d.SerializeTuple(0))
-	// Output: Name: Carol Brown, Salary: 60000
+	d.MustAppendRow([]string{"Dave Green", "64000"})
+	fmt.Print(d.SerializeRows([]int{0, 1}))
+	// Output:
+	// Name: Carol Brown, Salary: 60000
+	// Name: Dave Green, Salary: 64000
 }
 
 func ExampleErrorMask() {

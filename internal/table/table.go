@@ -10,8 +10,8 @@
 // so per-cell work downstream (frequencies, embeddings, criteria bits) can
 // be memoized per unique value ID instead of per cell, and cell comparisons
 // reduce to integer comparisons within a column. The row-oriented API
-// (Value, Row, RowMap, AppendRow, ...) is preserved on top; the ID-level
-// accessors (ValueID, DictSize, DictValue, ForEachID, ...) expose the
+// (Value, Row, AppendRow, ...) is preserved on top; the ID-level
+// accessors (ValueID, DictSize, DictValue, ColumnIDs, ...) expose the
 // encoded representation to hot paths.
 package table
 
@@ -20,12 +20,6 @@ import (
 	"maps"
 	"strings"
 )
-
-// Cell identifies one cell of a dataset by row and column index.
-type Cell struct {
-	Row int
-	Col int
-}
 
 // column is one dictionary-encoded attribute: ids[i] indexes into dict,
 // and base plus index are the reverse mapping used for interning. base is
@@ -206,14 +200,6 @@ func (d *Dataset) LookupID(col int, v string) (uint32, bool) {
 // shared with the dataset and must not be mutated.
 func (d *Dataset) ColumnIDs(col int) []uint32 { return d.cols[col].ids }
 
-// ForEachID calls fn for every row of the column with the row index and
-// the cell's value ID, in row order.
-func (d *Dataset) ForEachID(col int, fn func(row int, id uint32)) {
-	for i, id := range d.cols[col].ids {
-		fn(i, id)
-	}
-}
-
 // DistinctCount returns the number of distinct values currently present in
 // the column. Unlike DictSize it ignores pool entries that were
 // overwritten away, so it matches the semantics of counting a column's
@@ -350,27 +336,8 @@ func (d *Dataset) Row(i int) []string {
 	return out
 }
 
-// RowMap returns tuple i as an attribute→value map, the shape map-based
-// criteria evaluation uses (mirroring the paper's generated `row[attr]`
-// accessors). Hot paths should prefer the index-based accessors; this
-// allocates a map per call.
-func (d *Dataset) RowMap(i int) map[string]string {
-	m := make(map[string]string, len(d.Attrs))
-	for j, a := range d.Attrs {
-		c := &d.cols[j]
-		m[a] = c.dict[c.ids[i]]
-	}
-	return m
-}
-
-// SerializeTuple renders tuple i as the attribute-value pair string used in
+// serializeTuple renders tuple i as the attribute-value pair string used in
 // LLM prompts: "a1: v1, a2: v2, ...". NULLs appear as empty strings.
-func (d *Dataset) SerializeTuple(i int) string {
-	var b strings.Builder
-	d.serializeTuple(&b, i)
-	return b.String()
-}
-
 func (d *Dataset) serializeTuple(b *strings.Builder, i int) {
 	for j, a := range d.Attrs {
 		if j > 0 {

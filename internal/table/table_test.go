@@ -91,18 +91,11 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestRowMap(t *testing.T) {
-	m := sample().RowMap(2)
-	if m["Name"] != "DaveGreen" || m["Education"] != "Bechxlor" {
-		t.Errorf("RowMap = %v", m)
-	}
-}
-
 func TestSerializeTuple(t *testing.T) {
-	got := sample().SerializeTuple(0)
-	want := "Name: Bob Johnson, Gender: M, Education: Phd, Salary: 80000"
+	got := sample().SerializeRows([]int{0})
+	want := "Name: Bob Johnson, Gender: M, Education: Phd, Salary: 80000\n"
 	if got != want {
-		t.Errorf("SerializeTuple = %q, want %q", got, want)
+		t.Errorf("SerializeRows of one tuple = %q, want %q", got, want)
 	}
 }
 
@@ -229,20 +222,16 @@ func TestSetValueRoundTripAndDictGrowth(t *testing.T) {
 	}
 }
 
-func TestForEachIDAndColumnIDs(t *testing.T) {
+func TestColumnIDsDecode(t *testing.T) {
 	d := sample()
 	ids := d.ColumnIDs(1)
-	var got []uint32
-	d.ForEachID(1, func(row int, id uint32) {
-		if ids[row] != id {
-			t.Errorf("ColumnIDs[%d] = %d, ForEachID saw %d", row, ids[row], id)
-		}
-		got = append(got, id)
-	})
-	if len(got) != d.NumRows() {
-		t.Fatalf("ForEachID visited %d rows, want %d", len(got), d.NumRows())
+	if len(ids) != d.NumRows() {
+		t.Fatalf("ColumnIDs has %d entries, want %d", len(ids), d.NumRows())
 	}
-	for i, id := range got {
+	for i, id := range ids {
+		if d.ValueID(i, 1) != id {
+			t.Errorf("ColumnIDs[%d] = %d, ValueID = %d", i, id, d.ValueID(i, 1))
+		}
 		if d.DictValue(1, id) != d.Value(i, 1) {
 			t.Errorf("row %d: id %d decodes to %q, want %q", i, id, d.DictValue(1, id), d.Value(i, 1))
 		}

@@ -356,7 +356,7 @@ func (e *engine) stageSampleAndLabel() error {
 			}
 			end := min(s+e.cfg.BatchSize, len(sampleRows))
 			batch := sampleRows[s:end]
-			verdicts, err := e.client.LabelBatchTransient(e.ctx, e.d, j, batch, guideline, memo)
+			verdicts, err := e.client.LabelBatch(e.ctx, e.d, j, batch, guideline, memo)
 			if err != nil {
 				labelErrs[j] = err
 				return

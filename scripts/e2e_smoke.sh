@@ -15,6 +15,8 @@
 # GET /v1/jobs/{id}/trace; per-route RED series on /metrics; /readyz; and
 # the /debug/traces ring on the debug listener. Exercises the same paths
 # CI pins with httptest, but against the real binaries over a real socket.
+# Every file it writes lives under one mktemp -d work directory, which the
+# EXIT trap removes after stopping the server.
 set -euo pipefail
 
 ADDR="127.0.0.1:18080"
@@ -26,6 +28,15 @@ BIN="$WORK/zeroedd"
 CLI="$WORK/zeroed"
 MODELDIR="$WORK/models"
 LOG="$WORK/zeroedd.log"
+PID=""
+cleanup() {
+  if [ -n "$PID" ]; then
+    kill "$PID" 2>/dev/null || true
+    wait "$PID" 2>/dev/null || true
+  fi
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/zeroedd
 go build -o "$CLI" ./cmd/zeroed
@@ -33,7 +44,6 @@ go build -o "$CLI" ./cmd/zeroed
   -drift-threshold 0.3 -drift-min-rows 30 -stream-chunk 16 \
   -log-format json -debug-addr "$DEBUG_ADDR" -trace-slow 0s 2> "$LOG" &
 PID=$!
-trap 'kill "$PID" 2>/dev/null || true' EXIT
 
 # Wait for liveness.
 for _ in $(seq 1 100); do
@@ -61,7 +71,7 @@ echo "$READY" | grep -q '"status":"ready"' \
   || { echo "e2e: readyz not ready"; exit 1; }
 
 # Submit a small dataset.
-CSV="$(mktemp)"
+CSV="$WORK/smoke.csv"
 printf 'city,state,zip\nchicago,IL,60601\nspringfield,IL,62701\nchicago,IL,60601\nmadison,WI,53703\nchicago,XX,60601\n' > "$CSV"
 ID="$(curl -fsS -X POST --data-binary @"$CSV" "$BASE/v1/jobs?seed=1&name=smoke" \
   | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
