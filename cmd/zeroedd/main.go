@@ -103,8 +103,8 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "shared worker-pool size all jobs draw from (0 = GOMAXPROCS)")
 		shards      = flag.Int("shards", 0, "per-job scoring-shard count (0 = auto); results are identical for any value")
-		maxConc     = flag.Int("max-concurrent", 2, "jobs detecting concurrently (they share the one pool)")
-		maxQueue    = flag.Int("max-queue", 16, "admission-queue depth; beyond it submissions get 429")
+		maxConc     = flag.Int("max-concurrent", 2, "pool-heavy units (detect jobs, fits, refits) running at once (they share the one pool)")
+		maxQueue    = flag.Int("max-queue", 16, "admission-queue depth for jobs and fits waiting to run; beyond it they get 429")
 		maxBytes    = flag.Int64("max-upload-bytes", 32<<20, "request-body byte cap (413 beyond it)")
 		maxRows     = flag.Int("max-rows", 1_000_000, "per-upload row cap")
 		maxCols     = flag.Int("max-cols", 256, "per-upload column cap")
@@ -199,7 +199,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		_ = httpSrv.Shutdown(ctx)
 		cancel()
-		svc.Close() // cancels in-flight jobs and drains the runners
+		svc.Close() // cancels queued and running jobs and refits, and waits for them
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "zeroedd:", err)

@@ -6,7 +6,7 @@
 // regenerates every table and figure of the paper's evaluation; the
 // implementation lives under internal/ (README's "Package map" section is
 // the system inventory) and the runnable entry points under cmd/ and
-// examples/.
+// examples/ (quickstart, custom, scoring, serving).
 //
 // Entry points: cmd/zeroed (one-shot CLI detection, plus -model-out /
 // -model-in for producing and consuming fitted-model artifacts),

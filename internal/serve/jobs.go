@@ -2,8 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"log/slog"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -61,14 +61,13 @@ type job struct {
 	created time.Time
 	started time.Time
 	done    time.Time
-	cancel  context.CancelFunc
+	cancel  context.CancelFunc // cancels the job's context; set at submit, never changed
 
 	// trace is the submit request's trace, adopted by the job because it
 	// outlives the request: the middleware leaves it open and the job
-	// finalizes it. qspan spans the admission-queue wait; traceTree is the
-	// finished snapshot served by GET /v1/jobs/{id}/trace.
+	// finalizes it. traceTree is the finished snapshot served by
+	// GET /v1/jobs/{id}/trace.
 	trace     *obs.Trace
-	qspan     *obs.Span
 	rid       string
 	traceTree *obs.Node
 }
@@ -114,28 +113,28 @@ type JobStatus struct {
 	RuntimeMS int64      `json:"runtime_ms,omitempty"`
 }
 
-// manager owns the job table, the bounded admission queue, and the runner
-// goroutines that multiplex admitted jobs onto one shared zeroed.Pool.
-// Admission is two-stage by design: the queue bounds how many jobs wait,
-// the runner count bounds how many detect concurrently, and the shared pool
-// bounds how many worker goroutines those concurrent jobs can occupy in
-// total — so N clients can never oversubscribe the machine.
+// manager owns the job table and the one admission mechanism: every
+// detect job, model fit and drift refit takes one of MaxConcurrentJobs
+// running slots through acquire, and all slots draw on the one shared
+// zeroed.Pool, so N clients can never oversubscribe the machine. Jobs and
+// fits hold one of MaxQueuedJobs queue spots while they wait for a slot;
+// refits hold none (each model runs at most one). Job and refit goroutines
+// run under baseCtx and are counted in wg, so close cancels and awaits them.
 type manager struct {
-	cfg  Config
-	pool *zeroed.Pool
-	met  *metrics
-	log  *slog.Logger
+	cfg   Config
+	pool  *zeroed.Pool
+	met   *metrics
+	slots chan struct{} // one token per running unit
+	spots chan struct{} // one token per unit waiting for a slot
 
-	// retain, when set (by serve.New), offers a finished job trace for
+	// retain (set by serve.New) offers a finished job trace for
 	// slow-request retention in the debug ring.
 	retain func(tr *obs.Trace, route, rid string, dur time.Duration)
 
 	mu     sync.Mutex
-	cond   *sync.Cond // signals runners when queue gains a job or close() runs
 	closed bool
 	jobs   map[string]*job
 	order  []string // insertion order, for finished-job eviction
-	queue  []*job   // FIFO of admitted jobs not yet picked up by a runner
 	nextID int64
 
 	baseCtx context.Context
@@ -143,63 +142,116 @@ type manager struct {
 	wg      sync.WaitGroup
 }
 
-func newManager(cfg Config, met *metrics, log *slog.Logger) *manager {
+func newManager(cfg Config, met *metrics) *manager {
 	ctx, cancel := context.WithCancel(context.Background())
-	m := &manager{
+	return &manager{
 		cfg:     cfg,
 		pool:    zeroed.NewPool(cfg.Workers),
 		met:     met,
-		log:     log,
+		slots:   make(chan struct{}, cfg.MaxConcurrentJobs),
+		spots:   make(chan struct{}, cfg.MaxQueuedJobs),
 		jobs:    make(map[string]*job),
 		baseCtx: ctx,
 		stop:    cancel,
 	}
-	m.cond = sync.NewCond(&m.mu)
-	for i := 0; i < cfg.MaxConcurrentJobs; i++ {
-		m.wg.Add(1)
-		go m.runner()
-	}
-	return m
 }
 
-// close cancels every in-flight job and waits for the runners to drain.
-// Jobs still queued at close time are finalized as canceled by the runners
-// (the base context is already canceled, so each aborts at its first stage
-// boundary).
+// close cancels every job and refit, queued or running, and awaits them.
 func (m *manager) close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
 	m.closed = true
-	m.mu.Unlock()
 	m.stop()
-	m.cond.Broadcast()
+	m.mu.Unlock()
 	m.wg.Wait()
 }
 
-// errQueueFull is returned by submit when the admission queue is at
-// capacity; the HTTP layer maps it to 429.
-var errQueueFull = fmt.Errorf("serve: job queue is full, retry later")
+// Admission failures, mapped to responses by Server.writeBusy.
+var (
+	errQueueFull    = errors.New("serve: admission queue is full, retry later")
+	errShuttingDown = errors.New("serve: server is shutting down")
+)
+
+// acquire waits for a running slot or for ctx to end, under a queue_wait
+// span, and observes the wait once. The returned release frees the slot.
+func (m *manager) acquire(ctx context.Context) (release func(), err error) {
+	_, span := obs.Start(ctx, "queue_wait")
+	start := time.Now()
+	defer func() {
+		span.End()
+		m.met.observe(queueWait, time.Since(start))
+	}()
+	if err := ctx.Err(); err != nil {
+		return nil, err // a unit canceled before it waits never takes a slot
+	}
+	select {
+	case m.slots <- struct{}{}:
+		return func() { <-m.slots }, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// enqueue takes a queue spot without waiting; <-m.spots gives it back.
+func (m *manager) enqueue() error {
+	select {
+	case m.spots <- struct{}{}:
+		return nil
+	default:
+		return errQueueFull
+	}
+}
+
+// queueFull is the advisory pre-ingestion check: there is no point parsing
+// an upload that enqueue would reject.
+func (m *manager) queueFull() bool { return len(m.spots) == cap(m.spots) }
+
+// admit is a fit's admission: a queue spot, then a slot awaited under the
+// request's context, so the wait counts against the request timeout.
+func (m *manager) admit(ctx context.Context) (release func(), err error) {
+	if err := m.enqueue(); err != nil {
+		return nil, err
+	}
+	defer func() { <-m.spots }()
+	return m.acquire(ctx)
+}
+
+// spawn runs fn on its own goroutine under baseCtx, counted in wg, so
+// close cancels it and waits for it. Once close has begun, fn runs on the
+// caller's goroutine instead, where the canceled baseCtx ends it at once.
+func (m *manager) spawn(fn func(ctx context.Context)) {
+	m.mu.Lock()
+	closed := m.closed
+	if !closed {
+		m.wg.Add(1)
+	}
+	m.mu.Unlock()
+	if closed {
+		fn(m.baseCtx)
+		return
+	}
+	go func() {
+		defer m.wg.Done()
+		fn(m.baseCtx)
+	}()
+}
 
 // submit admits a parsed dataset as a queued job, or rejects it when the
-// bounded queue is full. Only jobs actually waiting count against the
-// queue bound — canceling a queued job frees its slot immediately.
+// queue is full. The job's goroutine waits in acquire for a slot; only
+// waiting jobs hold a queue spot, and canceling one frees it at once.
 //
 // The submit request's trace is adopted here: the job outlives the request,
-// so the middleware must not finish the trace at response time. A
-// queue_wait span opens now and closes when a runner picks the job up.
+// so the middleware must not finish the trace at response time.
 func (m *manager) submit(ctx context.Context, ds *table.Dataset, p JobParams) (*job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, fmt.Errorf("serve: server is shutting down")
+		return nil, errShuttingDown
 	}
-	if len(m.queue) >= m.cfg.MaxQueuedJobs {
-		return nil, errQueueFull
+	if err := m.enqueue(); err != nil {
+		return nil, err
 	}
 	m.nextID++
+	jctx, cancel := context.WithCancel(m.baseCtx)
 	j := &job{
 		id:      fmt.Sprintf("j-%06d", m.nextID),
 		params:  p,
@@ -209,31 +261,24 @@ func (m *manager) submit(ctx context.Context, ds *table.Dataset, p JobParams) (*
 		cols:    ds.NumCols(),
 		state:   JobQueued,
 		created: time.Now(),
+		cancel:  cancel,
 	}
 	if tr := obs.TraceFromContext(ctx); tr != nil {
 		tr.Adopt()
 		j.trace = tr
 		j.rid = reqIDFrom(ctx)
-		_, j.qspan = obs.Start(ctx, "queue_wait")
+		// Re-root the job's context on the adopted trace so its queue wait
+		// and the engine's fit/score spans land in the submit request's tree.
+		jctx = obs.ContextWithSpan(jctx, tr.Root())
 	}
-	m.queue = append(m.queue, j)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.met.add(jobsSubmitted, 1)
 	m.met.add(rowsIngested, int64(j.rows))
 	m.evictLocked()
-	m.cond.Signal()
+	m.wg.Add(1)
+	go m.runJob(jctx, j)
 	return j, nil
-}
-
-// queueFull is the advisory pre-ingestion check: when the queue is already
-// at capacity there is no point parsing an upload that submit would reject.
-// The authoritative check stays inside submit, under the same lock as the
-// enqueue.
-func (m *manager) queueFull() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue) >= m.cfg.MaxQueuedJobs
 }
 
 // evictLocked drops the oldest finished jobs beyond the retention cap so a
@@ -297,48 +342,36 @@ func (m *manager) cancelJob(id string) (JobState, bool) {
 	if !ok {
 		return "", false
 	}
-	j.mu.Lock()
-	switch j.state {
-	case JobQueued:
-		j.state = JobCanceled
-		j.errMsg = "canceled before start"
-		j.done = time.Now()
-		j.ds = nil
-		m.finishTraceLocked(j)
-		j.mu.Unlock()
-		// Free the admission slot right away; a runner that races the
-		// removal and pops the job anyway skips it on the state check.
-		m.mu.Lock()
-		m.dropQueuedLocked(j)
-		m.mu.Unlock()
-		m.met.add(jobsCanceled, 1)
-	case JobRunning:
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel() // runner observes the context error and finalizes state
-		}
-	default: // finished: DELETE removes the record entirely
-		j.mu.Unlock()
+	if j.finished() { // DELETE removes a finished record entirely
 		m.mu.Lock()
 		delete(m.jobs, id)
 		m.dropOrderLocked(id)
 		m.mu.Unlock()
+	} else {
+		// A queued job frees its queue spot before DELETE returns; a running
+		// one observes the canceled context and finalizes its own state.
+		m.cancelQueued(j)
+		j.cancel()
 	}
-	j.mu.Lock()
-	st := j.state
-	j.mu.Unlock()
-	return st, true
+	return j.snapshot().State, true
 }
 
-// dropQueuedLocked removes a job from the waiting queue, if still there.
-func (m *manager) dropQueuedLocked(j *job) {
-	for i, q := range m.queue {
-		if q == j {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			return
-		}
+// cancelQueued finalizes a job that never started as canceled and gives its
+// queue spot back. It does nothing once the job has left the queue.
+func (m *manager) cancelQueued(j *job) {
+	j.mu.Lock()
+	if j.state != JobQueued {
+		j.mu.Unlock()
+		return
 	}
+	j.state = JobCanceled
+	j.errMsg = "canceled before start"
+	j.done = time.Now()
+	j.ds = nil
+	m.finishTraceLocked(j)
+	j.mu.Unlock()
+	<-m.spots
+	m.met.add(jobsCanceled, 1)
 }
 
 // dropOrderLocked removes one id from the insertion-order list so deleted
@@ -361,61 +394,38 @@ func (m *manager) counts() map[JobState]int {
 	return out
 }
 
-// runner is one job-execution goroutine. It pops admitted jobs off the
-// bounded queue and runs each on the shared pool with a per-job cancelable
-// context. A panic that escapes the engine despite the validation layers is
-// converted into a failed job, never a crashed server.
-func (m *manager) runner() {
+// runJob is one job's goroutine: wait for a slot, then detect on the shared
+// pool. A panic that escapes the engine despite the validation layers
+// becomes a failed job, never a crashed server.
+func (m *manager) runJob(ctx context.Context, j *job) {
 	defer m.wg.Done()
-	for {
-		m.mu.Lock()
-		for len(m.queue) == 0 && !m.closed {
-			m.cond.Wait()
-		}
-		if len(m.queue) == 0 { // closed and drained
-			m.mu.Unlock()
-			return
-		}
-		j := m.queue[0]
-		m.queue = append(m.queue[:0], m.queue[1:]...)
-		m.mu.Unlock()
-		m.runJob(j)
+	defer j.cancel()
+	release, err := m.acquire(ctx)
+	if err != nil { // canceled while queued, by DELETE or by close
+		m.cancelQueued(j)
+		return
 	}
-}
-
-func (m *manager) runJob(j *job) {
+	defer release()
 	j.mu.Lock()
-	if j.state != JobQueued { // canceled while waiting
+	if j.state != JobQueued { // DELETE won the race with the slot
 		j.mu.Unlock()
 		return
 	}
-	ctx, cancel := context.WithCancel(m.baseCtx)
 	j.state = JobRunning
 	j.started = time.Now()
-	j.cancel = cancel
-	j.qspan.End()
-	m.met.observe(queueWait, j.started.Sub(j.created))
 	ds, p := j.ds, j.params
-	trace := j.trace
 	j.mu.Unlock()
-	defer cancel()
+	<-m.spots
 
-	// Re-root the detection context on the adopted trace so the engine's
-	// fit/score spans land in the submit request's tree.
-	dctx := ctx
-	if trace != nil {
-		dctx = obs.ContextWithSpan(ctx, trace.Root())
-	}
-	dctx, dspan := obs.Start(dctx, "detect")
+	dctx, dspan := obs.Start(ctx, "detect")
 	res, err := m.detect(dctx, ds, p)
 	dspan.End()
 
 	j.mu.Lock()
 	j.done = time.Now()
 	j.ds = nil // the dataset is only needed for the run; drop it early
-	j.cancel = nil
 	switch {
-	case err != nil && (ctx.Err() != nil || m.baseCtx.Err() != nil):
+	case err != nil && ctx.Err() != nil:
 		j.state = JobCanceled
 		j.errMsg = err.Error()
 		m.met.add(jobsCanceled, 1)
@@ -433,21 +443,16 @@ func (m *manager) runJob(j *job) {
 	j.mu.Unlock()
 }
 
-// finishTraceLocked (j.mu held) finalizes an adopted trace: ends the
-// queue-wait span if still open, snapshots the tree for
-// GET /v1/jobs/{id}/trace, and offers the trace for slow-request retention.
+// finishTraceLocked (j.mu held) finalizes an adopted trace: snapshots the
+// tree for GET /v1/jobs/{id}/trace and offers it for slow-request retention.
 func (m *manager) finishTraceLocked(j *job) {
 	if j.trace == nil {
 		return
 	}
-	j.qspan.End()
 	j.trace.Finish()
 	j.traceTree = j.trace.Tree()
-	if m.retain != nil {
-		m.retain(j.trace, "POST /v1/jobs", j.rid, j.trace.Duration())
-	}
+	m.retain(j.trace, "POST /v1/jobs", j.rid, j.trace.Duration())
 	j.trace = nil
-	j.qspan = nil
 }
 
 // detect runs one job's detection on the shared pool, converting any stray
@@ -458,9 +463,5 @@ func (m *manager) detect(ctx context.Context, ds *table.Dataset, p JobParams) (r
 			err = fmt.Errorf("serve: detection panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	cfg, err := m.jobConfig(p)
-	if err != nil {
-		return nil, err
-	}
-	return zeroed.New(cfg).DetectOn(ctx, m.pool, ds)
+	return zeroed.New(m.jobConfig(p)).DetectOn(ctx, m.pool, ds)
 }

@@ -297,7 +297,7 @@ var families = []family{
 				rr.hist.render(w, name, fmt.Sprintf("route=%q", route))
 			})
 		}},
-	{"zeroedd_queue_wait_seconds", "histogram", "Admission-queue wait from job submit to runner pickup.", latency(queueWait)},
+	{"zeroedd_queue_wait_seconds", "histogram", "Wait for a running slot, observed once per detect job, fit and drift refit.", latency(queueWait)},
 	{"zeroedd_jobs_submitted_total", "counter", "Jobs accepted into the admission queue.", count(jobsSubmitted)},
 	{"zeroedd_jobs_finished_total", "counter", "Jobs finished, by outcome.",
 		byOutcome(outcome{"done", jobsDone}, outcome{"failed", jobsFailed}, outcome{"canceled", jobsCanceled})},

@@ -22,10 +22,10 @@ import (
 )
 
 // The model registry: fit once over the wire, score forever. POST /v1/models
-// runs the expensive Fit phase synchronously (bounded by a fit semaphore and
-// the shared worker pool) and registers the fitted model under an ID —
-// persisted as a versioned artifact when Config.ModelDir is set, and
-// reloaded from there on startup. POST /v1/models/{id}/score then scores
+// runs the expensive Fit phase synchronously (admitted like a detect job,
+// through the manager's queue and running slots) and registers the fitted
+// model under an ID — persisted as a versioned artifact when
+// Config.ModelDir is set, and reloaded from there on startup. POST /v1/models/{id}/score then scores
 // small CSV bodies against the registered model with no criteria induction,
 // sampling, labeling, or training — the p50 score latency sits orders of
 // magnitude below a fit job (tracked by the score-latency metric).
@@ -71,9 +71,8 @@ type regEntry struct {
 	version int
 }
 
-// registry owns the fitted-model table. The fit semaphore bounds how many
-// expensive fits run at once (they still share the one worker pool with
-// detection jobs; the semaphore bounds peak memory, not CPU).
+// registry owns the fitted-model table. It admits nothing: fits and refits
+// take their running slot from the manager, like detect jobs.
 //
 // Pinning: handlers that score against an entry hold a per-id pin
 // (acquire/release) for the duration of the request. DELETE evicts the id
@@ -91,8 +90,6 @@ type registry struct {
 	log    *slog.Logger
 	pins   map[string]int      // in-flight scoring requests per id
 	doomed map[string][]string // deleted-while-pinned id -> artifact paths
-
-	fitSem chan struct{}
 }
 
 func newRegistry(cfg Config, met *metrics, log *slog.Logger) *registry {
@@ -103,7 +100,6 @@ func newRegistry(cfg Config, met *metrics, log *slog.Logger) *registry {
 		log:    log,
 		pins:   make(map[string]int),
 		doomed: make(map[string][]string),
-		fitSem: make(chan struct{}, cfg.MaxConcurrentJobs),
 	}
 	r.loadDir(met)
 	return r
@@ -429,7 +425,8 @@ type ScoreResult struct {
 
 // handleModelFit runs the Fit phase on an uploaded CSV and registers the
 // fitted model. The fit is synchronous — the response carries the ready
-// model's ID — and canceled if the client disconnects.
+// model's ID — and canceled if the client disconnects. Like a detect job it
+// takes a queue spot, then waits for a running slot within its deadline.
 func (s *Server) handleModelFit(w http.ResponseWriter, r *http.Request) {
 	params, err := parseParams(r)
 	if err != nil {
@@ -441,27 +438,17 @@ func (s *Server) handleModelFit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("model registry holds the maximum of %d models; DELETE one first", s.cfg.MaxModels))
 		return
 	}
-	// Ingest before taking a fit slot: body reads run at the client's pace,
-	// and a slow upload must not hold fit concurrency hostage.
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	ds, _, err := s.ingestUpload(params.Name, r, body, nil)
+	ds := s.ingestUnit(w, r, params.Name)
+	if ds == nil {
+		return
+	}
+	release, err := s.mgr.admit(r.Context())
 	if err != nil {
-		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
+		s.writeBusy(w, r, err)
 		return
 	}
-	cfg, err := s.mgr.jobConfig(params)
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_param", err.Error())
-		return
-	}
-	select {
-	case s.reg.fitSem <- struct{}{}:
-		defer func() { <-s.reg.fitSem }()
-	default:
-		writeBusy(w, r, "busy_fitting", "too many fits in flight, retry later", retryAfterFit)
-		return
-	}
-	m, err := s.fitModel(r, cfg, ds)
+	defer release()
+	m, err := s.fitModel(r, s.mgr.jobConfig(params), ds)
 	if err != nil {
 		switch s.classifyFailure(r) {
 		case failDeadline:

@@ -5,11 +5,11 @@
 // request-reachable code path returns a structured JSON error instead of
 // panicking, uploads are streamed straight into the columnar dataset's
 // intern pools (never materializing a row-oriented copy) under byte, row,
-// and column limits, and a bounded admission queue multiplexes all accepted
-// jobs onto one shared worker pool so concurrent clients cannot
-// oversubscribe the machine. Detection results uphold the engine's
-// determinism guarantee: a job with a fixed seed produces verdicts and
-// scores bit-identical to a cmd/zeroed run on the same input, for any
+// and column limits, and one bounded admission mechanism multiplexes every
+// detect job, fit and drift refit onto one shared worker pool so concurrent
+// clients cannot oversubscribe the machine. Detection results uphold the
+// engine's determinism guarantee: a job with a fixed seed produces verdicts
+// and scores bit-identical to a cmd/zeroed run on the same input, for any
 // worker, shard, or concurrency configuration.
 //
 // Every upload endpoint is format-agnostic: bodies are CSV or NDJSON
@@ -71,12 +71,12 @@ type Config struct {
 	// Shards is the per-job scoring-shard count (0 = auto). Results are
 	// bit-identical for any value.
 	Shards int
-	// MaxConcurrentJobs bounds how many admitted jobs detect at once
-	// (default 2). They share the one pool, so this trades per-job latency
-	// against cross-job fairness, never total load.
+	// MaxConcurrentJobs bounds the pool-heavy units (detect jobs, fits,
+	// refits) running at once (default 2). They share the one pool, so this
+	// trades per-unit latency against cross-unit fairness, never total load.
 	MaxConcurrentJobs int
-	// MaxQueuedJobs bounds the admission queue (default 16); submissions
-	// beyond it are rejected with 429 rather than buffered without bound.
+	// MaxQueuedJobs bounds the jobs and fits waiting for a running slot
+	// (default 16); beyond it they get 429 rather than an unbounded buffer.
 	MaxQueuedJobs int
 	// MaxUploadBytes caps a request body (default 32 MiB); larger uploads
 	// are rejected with 413.
@@ -182,10 +182,10 @@ type Server struct {
 	streams streamTable
 }
 
-// New creates a service with its runner goroutines started and any
-// persisted model artifacts restored from Config.ModelDir. Tracing is
-// enabled process-wide here: the engine's bit-identity contract makes span
-// collection a pure observer, so the service always traces.
+// New creates a service with any persisted model artifacts restored from
+// Config.ModelDir. Tracing is enabled process-wide here: the engine's
+// bit-identity contract makes span collection a pure observer, so the
+// service always traces.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	obs.SetEnabled(true)
@@ -193,7 +193,7 @@ func New(cfg Config) *Server {
 	met := &metrics{}
 	s := &Server{
 		cfg: cfg, log: log, met: met,
-		mgr:  newManager(cfg, met, log),
+		mgr:  newManager(cfg, met),
 		reg:  newRegistry(cfg, met, log),
 		ring: obs.NewRing(cfg.TraceRing),
 	}
@@ -226,7 +226,7 @@ func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(s.serveHTTP)
 }
 
-// Close cancels all in-flight jobs and stops the runners.
+// Close cancels every job and drift refit and waits for them to end.
 func (s *Server) Close() { s.mgr.close() }
 
 // apiError is the structured error envelope every failure path returns.
@@ -263,19 +263,24 @@ func apiErrorFor(r *http.Request, code, msg string) apiError {
 	return apiError{Code: code, Message: msg, RequestID: rid}
 }
 
-// Backpressure retry hints, in seconds: a queue slot frees as soon as a
-// runner pops a job, a fit slot only when a whole fit finishes.
-const (
-	retryAfterQueue = 1
-	retryAfterFit   = 5
-)
+// retryAfterQueue is the backpressure retry hint, in seconds: a queue spot
+// frees as soon as a waiting unit takes a running slot.
+const retryAfterQueue = 1
 
-// writeBusy is the single 429 path. Every backpressure rejection — job
-// queue full, fit semaphore saturated — carries the same structured error
-// envelope plus a Retry-After hint, so clients get one retry contract.
-func writeBusy(w http.ResponseWriter, r *http.Request, code, msg string, retryAfterSec int) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
-	writeErr(w, r, http.StatusTooManyRequests, code, msg)
+// writeBusy is the single admission-failure path. A full queue, for jobs
+// and fits alike, is the one 429 with a Retry-After hint. A closing server
+// is a 503, a slot wait cut by the request deadline the typed deadline 503,
+// and a client that went away gets nothing.
+func (s *Server) writeBusy(w http.ResponseWriter, r *http.Request, err error) {
+	switch {
+	case errors.Is(err, errQueueFull):
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterQueue))
+		writeErr(w, r, http.StatusTooManyRequests, "queue_full", err.Error())
+	case errors.Is(err, errShuttingDown):
+		writeErr(w, r, http.StatusServiceUnavailable, "shutting_down", err.Error())
+	case s.classifyFailure(r) == failDeadline:
+		s.writeDeadline(w, r)
+	}
 }
 
 // retryAfterDeadline hints how long a deadline-exceeded client should wait
@@ -333,14 +338,12 @@ func writeIngestErr(w http.ResponseWriter, r *http.Request, err error, maxBytes 
 	writeErr(w, r, http.StatusBadRequest, "bad_upload", err.Error())
 }
 
-// jobConfig resolves a job's zeroed configuration. It mirrors cmd/zeroed's
-// flag handling so that equal (input, seed, knobs) pairs produce bit-equal
-// verdicts across the CLI and the service.
-func (m *manager) jobConfig(p JobParams) (zeroed.Config, error) {
-	profile, ok := llm.ProfileByName(p.Profile)
-	if !ok {
-		return zeroed.Config{}, fmt.Errorf("unknown model %q", p.Profile)
-	}
+// jobConfig resolves a job's or fit's zeroed configuration. It mirrors
+// cmd/zeroed's flag handling so that equal (input, seed, knobs) pairs
+// produce bit-equal verdicts across the CLI and the service. parseParams,
+// the only source of JobParams, has already validated the profile name.
+func (m *manager) jobConfig(p JobParams) zeroed.Config {
+	profile, _ := llm.ProfileByName(p.Profile)
 	return zeroed.Config{
 		LabelRate: p.LabelRate,
 		CorrK:     p.CorrK,
@@ -349,7 +352,7 @@ func (m *manager) jobConfig(p JobParams) (zeroed.Config, error) {
 		Workers:   m.cfg.Workers,
 		Shards:    m.cfg.Shards,
 		Profile:   profile,
-	}, nil
+	}
 }
 
 // parseParams validates the submit-time query parameters.
@@ -507,6 +510,23 @@ func (s *Server) ingestUpload(name string, r *http.Request, body io.Reader, sche
 	return ds, mapping, nil
 }
 
+// ingestUnit is the shared upload front of jobs and fits: reject a full
+// queue before the upload parse, then ingest the body. The queue spot is
+// taken after ingest, so a slow upload holds none. On failure it has
+// written the response and returns nil.
+func (s *Server) ingestUnit(w http.ResponseWriter, r *http.Request, name string) *table.Dataset {
+	if s.mgr.queueFull() {
+		s.writeBusy(w, r, errQueueFull)
+		return nil
+	}
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
+	ds, _, err := s.ingestUpload(name, r, body, nil)
+	if err != nil {
+		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
+	}
+	return ds
+}
+
 // handleSubmit accepts a CSV or NDJSON upload and enqueues a detection job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	params, err := parseParams(r)
@@ -514,26 +534,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_param", err.Error())
 		return
 	}
-	// Advisory fast-path: when the queue is already full, reject before
-	// paying for the upload parse. submit re-checks authoritatively under
-	// its lock, so a slot freed in between still admits the job.
-	if s.mgr.queueFull() {
-		writeBusy(w, r, "queue_full", errQueueFull.Error(), retryAfterQueue)
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	ds, _, err := s.ingestUpload(params.Name, r, body, nil)
-	if err != nil {
-		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
+	ds := s.ingestUnit(w, r, params.Name)
+	if ds == nil {
 		return
 	}
 	j, err := s.mgr.submit(r.Context(), ds, params)
 	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			writeBusy(w, r, "queue_full", err.Error(), retryAfterQueue)
-			return
-		}
-		writeErr(w, r, http.StatusServiceUnavailable, "shutting_down", err.Error())
+		s.writeBusy(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.snapshot())

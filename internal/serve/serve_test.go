@@ -58,21 +58,27 @@ func postCSV(t *testing.T, url string, body []byte) (JobStatus, *http.Response) 
 	return st, resp
 }
 
+// jobStatus fetches one job's lifecycle status.
+func jobStatus(t *testing.T, base, id string) JobStatus {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // waitDone polls a job until it reaches a terminal state.
 func waitDone(t *testing.T, base, id string) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := jobStatus(t, base, id)
 		switch st.State {
 		case JobDone, JobFailed, JobCanceled:
 			return st

@@ -183,7 +183,7 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 				refits++
 				s.met.add(refitsStarted, 1)
 				_ = enc.Encode(map[string]any{"event": "refit", "model": id, "version": cst.Version})
-				go s.runRefit(id, ss)
+				s.mgr.spawn(func(ctx context.Context) { s.runRefit(ctx, id, ss) })
 			}
 		}
 		if rerr == io.EOF {
@@ -221,12 +221,12 @@ func (s *Server) scoreChunk(ctx context.Context, ss *zeroed.StreamScorer, chunk 
 	return ss.ScoreChunk(ctx, s.mgr.pool, chunk)
 }
 
-// runRefit is the background half of a drift trip: fit a successor on the
-// accumulated stream (bounded by the fit semaphore, like client-driven
-// fits), persist it as the next artifact version, and hot-swap registry and
-// scorer. Any failure aborts the refit and keeps the old model serving; the
-// drift gauges keep accumulating so a later chunk can trip again.
-func (s *Server) runRefit(id string, ss *zeroed.StreamScorer) {
+// runRefit is the background half of a drift trip, spawned by the manager
+// so Close cancels and awaits it: take a running slot like any fit, fit a
+// successor on the accumulated stream, persist it as the next artifact
+// version, and hot-swap registry and scorer. Any failure aborts the refit
+// and keeps the old model serving; the drift gauges keep accumulating.
+func (s *Server) runRefit(ctx context.Context, id string, ss *zeroed.StreamScorer) {
 	ok := false
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -238,9 +238,13 @@ func (s *Server) runRefit(id string, ss *zeroed.StreamScorer) {
 			ss.AbortRefit()
 		}
 	}()
-	s.reg.fitSem <- struct{}{}
-	defer func() { <-s.reg.fitSem }()
-	m2, err := ss.Refit(context.Background(), s.mgr.pool)
+	release, err := s.mgr.acquire(ctx)
+	if err != nil {
+		s.log.Error("refit canceled before it ran", "model", id, "err", err)
+		return
+	}
+	defer release()
+	m2, err := ss.Refit(ctx, s.mgr.pool)
 	if err != nil {
 		s.log.Error("refit failed", "model", id, "err", err)
 		return

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/table"
 	"repro/internal/zeroed"
 )
@@ -346,71 +348,127 @@ func TestDeleteWhileScoringConcurrent(t *testing.T) {
 	}
 }
 
-// TestRetryAfterUnified pins the shared 429 contract: both backpressure
-// paths — fit semaphore and job queue — answer with the structured error
-// envelope AND a Retry-After header.
+// waitRunning polls a job until it holds a running slot.
+func waitRunning(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(120 * time.Second)
+	for time.Now().Before(deadline) {
+		switch st := jobStatus(t, base, id); st.State {
+		case JobRunning:
+			return
+		case JobDone, JobFailed, JobCanceled:
+			t.Fatalf("job %s ended (%s) before it was seen running", id, st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("job %s never started", id)
+}
+
+// TestRetryAfterUnified pins the one 429 contract: with the admission queue
+// full of real traffic, a job submit and a model fit both answer 429
+// queue_full with Retry-After: 1 and the structured error envelope.
 func TestRetryAfterUnified(t *testing.T) {
-	ts, svc := testServer(t, Config{Workers: 1, MaxConcurrentJobs: 1, MaxQueuedJobs: 1})
+	ts, _ := testServer(t, Config{Workers: 1, MaxConcurrentJobs: 1, MaxQueuedJobs: 1})
 	small := []byte("a,b\n1,2\n3,4\n")
 
-	// Fit path: saturate the fit semaphore directly, then fit.
-	svc.reg.fitSem <- struct{}{}
-	resp, err := http.Post(ts.URL+"/v1/models", "text/csv", bytes.NewReader(small))
+	// One detect job holds the one running slot, a second takes the one
+	// queue spot.
+	first, r0 := postCSV(t, ts.URL+"/v1/jobs", benchCSV(t, datasets.Hospital(300, 2).Dirty))
+	if r0.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit: %d", r0.StatusCode)
+	}
+	waitRunning(t, ts.URL, first.ID)
+	if _, r := postCSV(t, ts.URL+"/v1/jobs", small); r.StatusCode != http.StatusAccepted {
+		t.Fatalf("queued submit: %d", r.StatusCode)
+	}
+
+	for _, path := range []string{"/v1/jobs", "/v1/models"} {
+		resp, err := http.Post(ts.URL+path, "text/csv", bytes.NewReader(small))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope map[string]apiError
+		err = json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("POST %s with a full queue: status %d, want 429", path, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Fatalf("POST %s 429 Retry-After = %q, want \"1\"", path, got)
+		}
+		if envelope["error"].Code != "queue_full" || envelope["error"].Message == "" {
+			t.Fatalf("POST %s 429 envelope = %+v", path, envelope)
+		}
+	}
+	waitDone(t, ts.URL, first.ID)
+}
+
+// TestFitWaitsForJobSlot pins that fits and detect jobs share the running
+// slots: with MaxConcurrentJobs 1, a fit posted while a detect job runs
+// waits for the job to release its slot, then fits and returns 201, and
+// the queue-wait histogram counts both units.
+func TestFitWaitsForJobSlot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fits a model")
+	}
+	ts, _ := testServer(t, Config{Workers: 1, MaxConcurrentJobs: 1})
+	job, resp := postCSV(t, ts.URL+"/v1/jobs", benchCSV(t, datasets.Hospital(400, 2).Dirty))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	waitRunning(t, ts.URL, job.ID)
+
+	var fit struct {
+		ModelStatus
+		Trace *obs.Node `json:"trace"`
+	}
+	postModelCSV(t, ts.URL+"/v1/models?seed=3&trace=1", benchCSV(t, datasets.Hospital(120, 3).Dirty), http.StatusCreated, &fit)
+	// The fit could only start once the job released the slot, and the
+	// job releases it after settling.
+	if st := waitDone(t, ts.URL, job.ID); st.State != JobDone || st.Finished == nil {
+		t.Fatalf("job after the fit: %+v", st)
+	}
+	if fit.Trace == nil || fit.Trace.Find("queue_wait") == nil {
+		t.Fatalf("fit trace has no queue_wait span: %+v", fit.Trace)
+	}
+	if text := metricsText(t, ts.URL); !strings.Contains(text, "zeroedd_queue_wait_seconds_count 2\n") {
+		t.Fatalf("queue wait not counted once per unit:\n%s", text)
+	}
+}
+
+// TestFitSlotWaitDeadline pins that a fit's wait for a running slot counts
+// against the request timeout: a fit still waiting when it expires gets the
+// typed 503 deadline, not a 429 or a 500.
+func TestFitSlotWaitDeadline(t *testing.T) {
+	ts, _ := testServer(t, Config{Workers: 1, MaxConcurrentJobs: 1, RequestTimeout: 300 * time.Millisecond})
+	job, resp := postCSV(t, ts.URL+"/v1/jobs", benchCSV(t, datasets.Hospital(400, 2).Dirty))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	waitRunning(t, ts.URL, job.ID)
+
+	fresp, err := http.Post(ts.URL+"/v1/models", "text/csv", bytes.NewReader(benchCSV(t, datasets.Hospital(120, 3).Dirty)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var envelope map[string]apiError
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+	err = json.NewDecoder(fresp.Body).Decode(&envelope)
+	fresp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	<-svc.reg.fitSem
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated fit path status %d, want 429", resp.StatusCode)
+	if fresp.StatusCode != http.StatusServiceUnavailable || envelope["error"].Code != "deadline" {
+		t.Fatalf("fit waiting past the deadline: status %d, envelope %+v", fresp.StatusCode, envelope)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "5" {
-		t.Fatalf("fit 429 Retry-After = %q, want \"5\"", got)
+	if fresp.Header.Get("Retry-After") == "" {
+		t.Fatal("deadline response missing Retry-After")
 	}
-	if envelope["error"].Code != "busy_fitting" || envelope["error"].Message == "" {
-		t.Fatalf("fit 429 envelope = %+v", envelope)
+	if st := waitDone(t, ts.URL, job.ID); st.State != JobDone {
+		t.Fatalf("job holding the slot: %+v", st)
 	}
-
-	// Queue path: occupy the single runner, fill the queue, then submit.
-	big := benchCSV(t, datasets.Hospital(300, 2).Dirty)
-	first, r0 := postCSV(t, ts.URL+"/v1/jobs", big)
-	if r0.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit: %d", r0.StatusCode)
-	}
-	var saw *http.Response
-	for i := 0; i < 4 && saw == nil; i++ {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "text/csv", bytes.NewReader(small))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			saw = resp
-			break
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: unexpected status %d", i, resp.StatusCode)
-		}
-	}
-	if saw == nil {
-		t.Fatal("queue never pushed back with 429")
-	}
-	envelope = map[string]apiError{}
-	if err := json.NewDecoder(saw.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
-	}
-	saw.Body.Close()
-	if got := saw.Header.Get("Retry-After"); got != "1" {
-		t.Fatalf("queue 429 Retry-After = %q, want \"1\"", got)
-	}
-	if envelope["error"].Code != "queue_full" || envelope["error"].Message == "" {
-		t.Fatalf("queue 429 envelope = %+v", envelope)
-	}
-	waitDone(t, ts.URL, first.ID)
 }
 
 // TestStreamHotSwapUnderLoad is the tentpole acceptance test: more than a
@@ -608,4 +666,67 @@ func refitsSettled(t *testing.T, base string) bool {
 		}
 	}
 	return counts["started"] == counts["swapped"]+counts["failed"]
+}
+
+// TestCloseWaitsForRefit pins that shutdown owns drift refits: Close while a
+// refit waits for the running slot (held by a detect job) returns only once
+// the refit has ended, counted as failed or swapped. No refit goroutine is
+// left behind and the model directory stops changing.
+func TestCloseWaitsForRefit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fits a model and streams into a refit")
+	}
+	dir := t.TempDir()
+	ts, svc := testServer(t, Config{
+		Workers:           2,
+		MaxConcurrentJobs: 1,
+		ModelDir:          dir,
+		MaxRows:           400,
+		StreamChunkRows:   64,
+		DriftThreshold:    0.15,
+		DriftMinRows:      400,
+	})
+	bench := datasets.Hospital(250, 5)
+	st := fitHTTPModel(t, ts.URL, benchCSV(t, bench.Dirty), "?seed=5")
+	warm := postStream(t, ts.URL+"/v1/models/"+st.ID+"/stream", "text/csv", rowsCSV(t, st.Attrs, dsRows(bench.Dirty, 400)))
+	if warm.status != http.StatusOK || warm.errLine != "" {
+		t.Fatalf("warm stream: status %d err %q", warm.status, warm.errLine)
+	}
+
+	job, resp := postCSV(t, ts.URL+"/v1/jobs", benchCSV(t, datasets.Hospital(400, 2).Dirty))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	waitRunning(t, ts.URL, job.ID)
+	novel := postStream(t, ts.URL+"/v1/models/"+st.ID+"/stream", "text/csv", rowsCSV(t, st.Attrs, novelRows(len(st.Attrs), 250)))
+	if novel.status != http.StatusOK || novel.errLine != "" || novel.events == 0 {
+		t.Fatalf("novel stream did not start a refit: status %d err %q events %d", novel.status, novel.errLine, novel.events)
+	}
+
+	svc.Close()
+	buf := make([]byte, 1<<20)
+	if stacks := buf[:runtime.Stack(buf, true)]; bytes.Contains(stacks, []byte("(*Server).runRefit")) {
+		t.Fatalf("a refit goroutine outlived Close:\n%s", stacks)
+	}
+	text := metricsText(t, ts.URL)
+	var started, swapped, failed int
+	for _, c := range []struct {
+		outcome string
+		n       *int
+	}{{"started", &started}, {"swapped", &swapped}, {"failed", &failed}} {
+		line := fmt.Sprintf("zeroedd_model_refits_total{outcome=%q} ", c.outcome)
+		i := strings.Index(text, line)
+		if i < 0 {
+			t.Fatalf("metrics missing %s", line)
+		}
+		fmt.Sscanf(text[i+len(line):], "%d", c.n)
+	}
+	if started == 0 || started != swapped+failed {
+		t.Fatalf("refits after Close: started %d, swapped %d, failed %d", started, swapped, failed)
+	}
+	before := dirNames(t, dir, "")
+	time.Sleep(300 * time.Millisecond)
+	if after := dirNames(t, dir, ""); strings.Join(after, ",") != strings.Join(before, ",") {
+		t.Fatalf("model dir changed after Close: %v -> %v", before, after)
+	}
 }
