@@ -66,17 +66,16 @@ func (b *Nadeef) Detect(d *table.Dataset) ([][]bool, error) {
 	}
 
 	// FD rules: within each determinant group, dependent values deviating
-	// from the group majority are violations. Expected dependent values are
-	// resolved to IDs once per determinant pool entry.
+	// from the group majority are violations. The majority is mined and
+	// compared by value ID.
 	for _, p := range b.FDPairs {
 		det, dep := p[0], p[1]
-		fd := stats.FindFD(d, det, dep)
-		wantID := stats.ExpectedDepIDs(d, det, dep, fd.Mapping, true)
+		wantID := stats.GroupFD(d, det, nil).Majority(dep).Want
 		depNullish := stats.NullishByID(d, dep)
 		detIDs, depIDs := d.ColumnIDs(det), d.ColumnIDs(dep)
 		for i := range detIDs {
 			w := wantID[detIDs[i]]
-			if w != stats.DepNoEvidence && int64(depIDs[i]) != w && !depNullish[depIDs[i]] {
+			if w >= 0 && uint32(w) != depIDs[i] && !depNullish[depIDs[i]] {
 				// NADEEF marks every cell participating in the violation;
 				// it cannot localize which side is wrong, which is exactly
 				// why the paper finds rule-based precision limited.

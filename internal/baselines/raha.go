@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/table"
@@ -227,24 +228,25 @@ func strategyFeatures(d *table.Dataset) [][][]float64 {
 		valueBits[j] = bits
 	}
 
-	// Mined FDs for the rule-violation strategy, with expected dependent
-	// value IDs resolved per determinant value ID.
+	// Mined FDs for the rule-violation strategy, as the majority dependent
+	// value ID per determinant value ID (negative: no evidence). One
+	// grouping per determinant serves every dependent.
 	type fdRule struct {
 		det, dep int
-		wantID   []int64 // stats.ExpectedDepIDs sentinels
+		wantID   []int32
 	}
 	var fds []fdRule
 	for det := 0; det < m; det++ {
 		if float64(d.DistinctCount(det)) > 0.5*float64(n) {
 			continue
 		}
+		groups := stats.GroupFD(d, det, nil)
 		for dep := 0; dep < m; dep++ {
 			if det == dep {
 				continue
 			}
-			fd := stats.FindFD(d, det, dep)
-			if fd.Support >= 0.95 && len(fd.Mapping) >= 2 {
-				fds = append(fds, fdRule{det, dep, stats.ExpectedDepIDs(d, det, dep, fd.Mapping, false)})
+			if maj := groups.Majority(dep); maj.Support >= 0.95 && maj.Groups >= 2 {
+				fds = append(fds, fdRule{det, dep, slices.Clone(maj.Want)})
 			}
 		}
 	}
@@ -262,7 +264,7 @@ func strategyFeatures(d *table.Dataset) [][][]float64 {
 					continue
 				}
 				w := fd.wantID[d.ValueID(i, fd.det)]
-				if w != stats.DepNoEvidence && int64(id) != w {
+				if w >= 0 && uint32(w) != id {
 					f[numStrategies-1] = 1
 					break
 				}

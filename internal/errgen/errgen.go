@@ -164,29 +164,33 @@ func Inject(clean *table.Dataset, spec Spec) (*table.Dataset, []Injection) {
 	}
 	count = int(spec.Rates[RuleViolation] * float64(total))
 	if len(pairs) > 0 {
+		// The clean table never changes, so each pair's legitimate
+		// dependent values (its FD mapping's distinct values, sorted) are
+		// mined once, on the pair's first draw.
+		targets := map[[2]int][]string{}
 		for i := 0; i < count; i++ {
 			p := pairs[rng.Intn(len(pairs))]
-			det, dep := p[0], p[1]
-			cell, ok := pick([]int{dep})
+			cell, ok := pick([]int{p[1]})
 			if !ok {
 				continue
 			}
-			fd := stats.FindFD(clean, det, dep)
-			cur := clean.Value(cell[0], cell[1])
+			values, ok := targets[p]
+			if !ok {
+				values = mappedValues(stats.FindFD(clean, p[0], p[1]))
+				targets[p] = values
+			}
 			// Choose a legitimate value from a different group,
 			// deterministically (sorted candidates, seeded pick).
+			cur := clean.Value(cell[0], cell[1])
 			var alts []string
-			seen := map[string]bool{}
-			for _, v := range fd.Mapping {
-				if v != cur && !seen[v] {
-					seen[v] = true
+			for _, v := range values {
+				if v != cur {
 					alts = append(alts, v)
 				}
 			}
 			if len(alts) == 0 {
 				continue
 			}
-			sortStringsInPlace(alts)
 			apply(RuleViolation, cell, alts[rng.Intn(len(alts))])
 		}
 	}
@@ -194,22 +198,37 @@ func Inject(clean *table.Dataset, spec Spec) (*table.Dataset, []Injection) {
 	return dirty, log
 }
 
+// mappedValues returns the distinct dependent values of an FD mapping,
+// sorted.
+func mappedValues(fd stats.FDCandidate) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, v := range fd.Mapping {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	sortStringsInPlace(out)
+	return out
+}
+
 // mineFDPairs finds strongly dependent attribute pairs in the clean data
-// for rule-violation injection.
+// for rule-violation injection. Near-key determinants are skipped: they
+// trivially determine everything.
 func mineFDPairs(d *table.Dataset) [][2]int {
 	var out [][2]int
 	for det := 0; det < d.NumCols(); det++ {
+		if float64(d.DistinctCount(det)) >= 0.5*float64(d.NumRows()) {
+			continue
+		}
+		groups := stats.GroupFD(d, det, nil)
 		for dep := 0; dep < d.NumCols(); dep++ {
 			if det == dep {
 				continue
 			}
-			fd := stats.FindFD(d, det, dep)
-			if fd.Support >= 0.98 && len(fd.Mapping) >= 2 {
-				// Skip near-key determinants: they trivially determine
-				// everything.
-				if float64(d.DistinctCount(det)) < 0.5*float64(d.NumRows()) {
-					out = append(out, [2]int{det, dep})
-				}
+			if maj := groups.Majority(dep); maj.Support >= 0.98 && maj.Groups >= 2 {
+				out = append(out, [2]int{det, dep})
 			}
 		}
 	}

@@ -13,14 +13,19 @@
 // occurrence count), dependency rules are indexed by determinant value ID,
 // and non-FD fixes are memoized per (column, value ID) — so repairing a
 // table costs O(rows) ID scans plus O(distinct values) string work, like
-// the detector's own featurization. Proposals are deterministic: the same
-// dataset and mask always produce the same fixes in the same order.
+// the detector's own featurization. Dependency mining over the m(m−1)
+// column pairs groups rows by each determinant's value IDs once, O(rows)
+// per determinant, then counts each dependent in one dense array, O(rows
+// in groups of two or more) per pair; only accepted rules turn value IDs
+// into strings. Proposals are deterministic: the same dataset and mask
+// always produce the same fixes in the same order.
 package repair
 
 import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/stats"
 	"repro/internal/table"
@@ -88,13 +93,20 @@ func New(cfg Config) *Repairer { return &Repairer{cfg: cfg.withDefaults()} }
 // columnEvidence is the per-attribute repair knowledge mined from cells
 // the detector did NOT flag (trusting detected-clean data only).
 type columnEvidence struct {
-	frequent   []string // frequent values, by descending count
-	counts     map[string]int
+	frequent   []frequentValue // by descending count
+	distinct   int             // distinct non-null clean values
 	numeric    bool
 	median     float64
 	mode       string
 	modeShare  float64
 	totalClean int
+}
+
+// frequentValue is one typo-repair target, lowercased and rune-counted
+// once per request rather than once per flagged value.
+type frequentValue struct {
+	val, lower string
+	runes      int // utf8.RuneCountInString(lower)
 }
 
 // memoFix caches the non-FD fix for one distinct flagged value of one
@@ -115,21 +127,21 @@ func (r *Repairer) Propose(d *table.Dataset, mask [][]bool) []Fix {
 		ev[j] = mineColumn(d, mask, j, r.cfg)
 	}
 
-	// Mine dependencies with the flagged cells nulled out (cloning keeps
-	// d's value IDs intact, so the rules below can be indexed by d's IDs).
+	// Mine dependencies from unflagged cells only: the grouping skips
+	// flagged determinant cells and counts flagged dependent cells as "",
+	// which never yields a rule.
 	var fds []fdRule
-	cleanView := unflaggedView(d, mask)
 	for det := 0; det < m; det++ {
-		if ev[det].totalClean == 0 || len(ev[det].counts) > cleanView.NumRows()/2 {
+		if ev[det].totalClean == 0 || ev[det].distinct > d.NumRows()/2 {
 			continue // near-key determinants repair nothing reliably
 		}
+		groups := stats.GroupFD(d, det, mask)
 		for dep := 0; dep < m; dep++ {
 			if det == dep {
 				continue
 			}
-			fd := stats.FindFD(cleanView, det, dep)
-			if fd.Support >= r.cfg.FDMinSupport && len(fd.Mapping) >= 2 {
-				fds = append(fds, newFDRule(d, det, dep, fd.Mapping))
+			if maj := groups.Majority(dep); maj.Support >= r.cfg.FDMinSupport && maj.Groups >= 2 {
+				fds = append(fds, newFDRule(groups, det, dep, maj))
 			}
 		}
 	}
@@ -158,12 +170,15 @@ type fdRule struct {
 	has      []bool   // has[id] marks a usable (non-empty) replacement
 }
 
-func newFDRule(d *table.Dataset, det, dep int, mapping map[string]string) fdRule {
-	n := d.DictSize(det)
+func newFDRule(groups *stats.FDGroups, det, dep int, maj stats.FDMajority) fdRule {
+	n := len(maj.Want)
 	rule := fdRule{det: det, dep: dep, want: make([]string, n), has: make([]bool, n)}
-	for id := 0; id < n; id++ {
-		if w, ok := mapping[d.DictValue(det, uint32(id))]; ok && w != "" {
-			rule.want[id] = w
+	for id, w := range maj.Want {
+		if w < 0 {
+			continue
+		}
+		if v := groups.DepValue(dep, w); v != "" {
+			rule.want[id] = v
 			rule.has[id] = true
 		}
 	}
@@ -204,10 +219,16 @@ func (r *Repairer) fixValue(old string, ev *columnEvidence) (string, Strategy) {
 	if !text.IsNullLike(old) {
 		bestVal, bestDist := "", r.cfg.TypoMaxDist+1
 		lo := strings.ToLower(old)
+		runes := utf8.RuneCountInString(lo)
 		for _, fv := range ev.frequent {
-			dist := text.Levenshtein(lo, strings.ToLower(fv))
+			// The rune-count gap bounds the edit distance from below, so
+			// a value that cannot beat bestDist is skipped unmeasured.
+			if gap := fv.runes - runes; gap >= bestDist || -gap >= bestDist {
+				continue
+			}
+			dist := text.Levenshtein(lo, fv.lower)
 			if dist > 0 && dist < bestDist {
-				bestVal, bestDist = fv, dist
+				bestVal, bestDist = fv.val, dist
 			}
 		}
 		if bestVal != "" {
@@ -243,7 +264,7 @@ func (r *Repairer) Apply(d *table.Dataset, mask [][]bool) (*table.Dataset, []Fix
 // detection, numeric parsing, frequency ranking — per distinct dictionary
 // value, weighted by its clean occurrence count.
 func mineColumn(d *table.Dataset, mask [][]bool, j int, cfg Config) columnEvidence {
-	ev := columnEvidence{counts: map[string]int{}}
+	var ev columnEvidence
 	idCounts := make([]int, d.DictSize(j))
 	for i, id := range d.ColumnIDs(j) {
 		if mask[i][j] {
@@ -251,8 +272,9 @@ func mineColumn(d *table.Dataset, mask [][]bool, j int, cfg Config) columnEviden
 		}
 		idCounts[id]++
 	}
-	numericTotal := 0
+	numericTotal, modeCount := 0, 0
 	var nums []float64
+	var frequent []uint32
 	for id, c := range idCounts {
 		if c == 0 {
 			continue
@@ -261,8 +283,14 @@ func mineColumn(d *table.Dataset, mask [][]bool, j int, cfg Config) columnEviden
 		if text.IsNullLike(v) {
 			continue
 		}
-		ev.counts[v] = c // dictionary values are distinct; no accumulation
+		ev.distinct++ // dictionary values are distinct; no accumulation
 		ev.totalClean += c
+		if c >= cfg.MinFrequent {
+			frequent = append(frequent, uint32(id))
+		}
+		if c > modeCount || (c == modeCount && v < ev.mode) {
+			ev.mode, modeCount = v, c
+		}
 		if f, ok := text.ParseFloat(v); ok {
 			numericTotal += c
 			for k := 0; k < c; k++ {
@@ -273,25 +301,23 @@ func mineColumn(d *table.Dataset, mask [][]bool, j int, cfg Config) columnEviden
 	if ev.totalClean == 0 {
 		return ev
 	}
-	for v, c := range ev.counts {
-		if c >= cfg.MinFrequent {
-			ev.frequent = append(ev.frequent, v)
-		}
-		if c > ev.counts[ev.mode] || (c == ev.counts[ev.mode] && v < ev.mode) {
-			ev.mode = v
-		}
-	}
-	sort.Slice(ev.frequent, func(a, b int) bool {
-		ca, cb := ev.counts[ev.frequent[a]], ev.counts[ev.frequent[b]]
+	sort.Slice(frequent, func(a, b int) bool {
+		ca, cb := idCounts[frequent[a]], idCounts[frequent[b]]
 		if ca != cb {
 			return ca > cb
 		}
-		return ev.frequent[a] < ev.frequent[b]
+		return d.DictValue(j, frequent[a]) < d.DictValue(j, frequent[b])
 	})
-	if len(ev.frequent) > 200 {
-		ev.frequent = ev.frequent[:200]
+	if len(frequent) > 200 {
+		frequent = frequent[:200]
 	}
-	ev.modeShare = float64(ev.counts[ev.mode]) / float64(ev.totalClean)
+	ev.frequent = make([]frequentValue, len(frequent))
+	for k, id := range frequent {
+		v := d.DictValue(j, id)
+		lower := strings.ToLower(v)
+		ev.frequent[k] = frequentValue{val: v, lower: lower, runes: utf8.RuneCountInString(lower)}
+	}
+	ev.modeShare = float64(modeCount) / float64(ev.totalClean)
 	// Numeric when at least 90% of the clean non-null occurrences parse —
 	// the same threshold text.IsNumericColumn applies to raw value slices.
 	if float64(numericTotal)/float64(ev.totalClean) >= 0.9 {
@@ -299,21 +325,6 @@ func mineColumn(d *table.Dataset, mask [][]bool, j int, cfg Config) columnEviden
 		ev.median = stats.Quantile(nums, 0.5)
 	}
 	return ev
-}
-
-// unflaggedView clones the dataset with flagged cells nulled out so
-// dependency mining ignores them. Cloning (rather than re-interning every
-// row) keeps the original value IDs valid in the view.
-func unflaggedView(d *table.Dataset, mask [][]bool) *table.Dataset {
-	out := d.Clone()
-	for i := 0; i < out.NumRows(); i++ {
-		for j := 0; j < out.NumCols(); j++ {
-			if mask[i][j] {
-				out.SetValue(i, j, "")
-			}
-		}
-	}
-	return out
 }
 
 func formatFloat(f float64) string {

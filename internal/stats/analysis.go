@@ -188,51 +188,158 @@ type FDCandidate struct {
 }
 
 // FindFD measures how well column det determines column dep in d. It
-// returns a candidate with the majority mapping and its average support.
-// This powers both the simulated LLM's rule-violation reasoning and the
-// NADEEF baseline's automatic constraint mining.
+// returns a candidate with the majority mapping and its average support;
+// the simulated LLM's rule-violation reasoning and criteria induction read
+// it. It costs O(rows) per determinant, to group rows by det's value IDs,
+// plus O(group rows) per dependent, to count dep over the rows in groups
+// of two or more. Callers that pair one determinant with many dependents
+// call GroupFD once and Majority per dependent.
 func FindFD(d *table.Dataset, det, dep int) FDCandidate {
-	detDict, depDict := d.Dict(det), d.Dict(dep)
-	// Null-likeness is a per-unique-value property: compute it once per
-	// pool entry instead of once per row.
-	nullish := NullishByID(d, det)
-	groups := make([]map[uint32]int, len(detDict))
-	detIDs, depIDs := d.ColumnIDs(det), d.ColumnIDs(dep)
-	for i, dv := range detIDs {
-		if nullish[dv] {
-			continue
+	return GroupFD(d, det, nil).Candidate(dep)
+}
+
+// FDGroups holds the rows of one determinant column bucketed by value ID,
+// so every dependent paired with it is counted without regrouping. Only
+// groups of two or more rows are kept: null-like determinants and
+// singleton groups carry no dependency evidence.
+type FDGroups struct {
+	d    *table.Dataset
+	mask [][]bool
+	det  int
+	// Group k holds determinant value ID ids[k] on rows
+	// rows[bounds[k]:bounds[k+1]], in ascending row order; ids ascend.
+	ids    []int32
+	bounds []int32
+	rows   []int32
+	votes  []int32 // dependent value ID per entry of rows
+	counts []int32 // dependent-ID counts, all zero between Majority calls
+	want   []int32 // Majority's result, indexed by determinant value ID
+}
+
+// FDMajority is the value-ID form of an FDCandidate for one dependent.
+type FDMajority struct {
+	Support float64 // average share of the majority dependent value
+	Groups  int     // determinant values seen at least twice
+	// Want[id] is the majority dependent value ID (see DepValue) for
+	// determinant value ID id, or negative when id has no group. The
+	// slice belongs to the FDGroups and is overwritten by its next
+	// Majority call.
+	Want []int32
+}
+
+// GroupFD buckets d's rows by their value ID in column det with one
+// counting sort. A non-nil mask marks flagged cells: a flagged determinant
+// cell is skipped like a null-like one, and a flagged dependent cell votes
+// for "" in Majority.
+func GroupFD(d *table.Dataset, det int, mask [][]bool) *FDGroups {
+	detIDs, dict := d.ColumnIDs(det), d.Dict(det)
+	// next[id] first counts id's rows, then holds the next free slot of
+	// id's group in rows, or -1 when id heads no group.
+	next := make([]int32, len(dict))
+	for i, id := range detIDs {
+		if mask == nil || !mask[i][det] {
+			next[id]++
 		}
-		g := groups[dv]
-		if g == nil {
-			g = make(map[uint32]int)
-			groups[dv] = g
-		}
-		g[depIDs[i]]++
 	}
-	cand := FDCandidate{Det: det, Dep: dep, Mapping: make(map[string]string)}
-	totalWeight, weightedSupport := 0.0, 0.0
-	for dv, g := range groups {
-		if g == nil {
+	g := &FDGroups{d: d, mask: mask, det: det, want: make([]int32, len(dict)), bounds: []int32{0}}
+	for id, c := range next {
+		g.want[id], next[id] = -1, -1
+		// Null-likeness is a per-value property: test it only for values
+		// heading a group of two or more rows.
+		if c < 2 || text.IsNullLike(dict[id]) {
 			continue
 		}
-		n := 0
-		bestV, bestC := "", 0
-		for id, c := range g {
-			n += c
-			v := depDict[id]
-			if c > bestC || (c == bestC && v < bestV) {
-				bestV, bestC = v, c
+		next[id] = g.bounds[len(g.bounds)-1]
+		g.ids = append(g.ids, int32(id))
+		g.bounds = append(g.bounds, next[id]+c)
+	}
+	g.rows = make([]int32, g.bounds[len(g.bounds)-1])
+	g.votes = make([]int32, len(g.rows))
+	for i, id := range detIDs {
+		if next[id] < 0 || (mask != nil && mask[i][det]) {
+			continue
+		}
+		g.rows[next[id]] = int32(i)
+		next[id]++
+	}
+	return g
+}
+
+// DepValue returns the string of a dependent value ID from Want: ID
+// DictSize(dep) stands for the "" a flagged cell votes for when "" is not
+// in dep's dictionary.
+func (g *FDGroups) DepValue(dep int, id int32) string {
+	return depValue(g.d.Dict(dep), id)
+}
+
+func depValue(dict []string, id int32) string {
+	if int(id) == len(dict) {
+		return ""
+	}
+	return dict[id]
+}
+
+// Majority counts dependent column dep within every group in one dense
+// count array and picks each group's majority value: the highest count,
+// ties broken by the lowest string. It costs O(group rows).
+func (g *FDGroups) Majority(dep int) FDMajority {
+	depIDs, dict := g.d.ColumnIDs(dep), g.d.Dict(dep)
+	n := len(dict)
+	flagged := int32(n) // the ID a flagged dependent cell votes for
+	if id, ok := g.d.LookupID(dep, ""); ok && g.mask != nil {
+		flagged = int32(id)
+	}
+	if cap(g.counts) <= n {
+		g.counts = make([]int32, n+1)
+	}
+	counts := g.counts[:n+1]
+	// Gather every grouped row's vote once, in group order, so both passes
+	// below run sequentially over one array.
+	votes := g.votes
+	for k, r := range g.rows {
+		votes[k] = int32(depIDs[r])
+		if g.mask != nil && g.mask[r][dep] {
+			votes[k] = flagged
+		}
+	}
+	// Weights are integers, so summing them as ints and converting once
+	// gives the same float64 bits as summing floats group by group.
+	weight, support := 0, 0
+	for k, id := range g.ids {
+		group := votes[g.bounds[k]:g.bounds[k+1]]
+		for _, v := range group {
+			counts[v]++
+		}
+		// Visit each distinct value once, at its first row, clearing its
+		// count so the array is zero again for the next group.
+		best, bestC := int32(-1), int32(0)
+		for _, v := range group {
+			c := counts[v]
+			if c == 0 {
+				continue
+			}
+			counts[v] = 0
+			if c > bestC || (c == bestC && depValue(dict, v) < depValue(dict, best)) {
+				best, bestC = v, c
 			}
 		}
-		if n < 2 {
-			continue // singleton groups carry no dependency evidence
-		}
-		cand.Mapping[detDict[dv]] = bestV
-		totalWeight += float64(n)
-		weightedSupport += float64(bestC)
+		g.want[id] = best
+		weight += len(group)
+		support += int(bestC)
 	}
-	if totalWeight > 0 {
-		cand.Support = weightedSupport / totalWeight
+	maj := FDMajority{Groups: len(g.ids), Want: g.want}
+	if weight > 0 {
+		maj.Support = float64(support) / float64(weight)
+	}
+	return maj
+}
+
+// Candidate returns the string-keyed FDCandidate for dependent dep.
+func (g *FDGroups) Candidate(dep int) FDCandidate {
+	maj := g.Majority(dep)
+	cand := FDCandidate{Det: g.det, Dep: dep, Support: maj.Support, Mapping: make(map[string]string, maj.Groups)}
+	for _, id := range g.ids {
+		cand.Mapping[g.d.DictValue(g.det, uint32(id))] = g.DepValue(dep, maj.Want[id])
 	}
 	return cand
 }
