@@ -25,13 +25,12 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "dataset size multiplier vs Table II defaults")
 		seed    = flag.Int64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "ZeroED worker-pool size (0 = GOMAXPROCS); results are identical for any value")
-		shards  = flag.Int("shards", 0, "ZeroED scoring-shard count (0 = auto); results are identical for any value")
 		batch   = flag.Bool("batch", false, "run the Fig. 7b/8b Tax sweeps as one DetectBatch over the shared pool")
 	)
 	flag.Parse()
 
 	o := experiments.Options{Scale: *scale, Seed: *seed, Out: os.Stdout,
-		Workers: *workers, Shards: *shards, Batch: *batch}
+		Workers: *workers, Batch: *batch}
 	runners := map[string]func() error{
 		"table3": func() error { _, err := experiments.Table3(o); return err },
 		"table4": func() error { _, err := experiments.Table4(o); return err },

@@ -13,12 +13,12 @@
 // -dataset NAME (-dirty omitted), a built-in synthetic benchmark is
 // generated instead, e.g. -dataset Hospital.
 //
-// Scaling knobs (ZeroED only): -workers bounds the shared worker pool,
-// -shards splits the scoring pass into row shards; both leave results
-// bit-identical and change only wall-clock. -batch detects several inputs
-// concurrently over one pool: either a comma-separated list of dirty CSVs,
-// or (with -dataset) a replica count, generating the replicas at seeds
-// seed..seed+n-1 (every replica is detected with the same -seed config).
+// Scaling knobs (ZeroED only): -workers bounds the shared worker pool; it
+// leaves results bit-identical and changes only wall-clock. -batch detects
+// several inputs concurrently over one pool: either a comma-separated list
+// of dirty CSVs, or (with -dataset) a replica count, generating the
+// replicas at seeds seed..seed+n-1 (every replica is detected with the same
+// -seed config).
 //
 // Model artifacts (ZeroED only): -model-out FILE fits, persists the fitted
 // model as a versioned artifact, and scores with it; -model-in FILE skips
@@ -105,7 +105,6 @@ type runOpts struct {
 	corrK      int
 	seed       int64
 	workers    int
-	shards     int
 	batch      string
 	outPath    string
 	repairOut  string
@@ -135,7 +134,6 @@ func main() {
 	flag.IntVar(&o.corrK, "corr", 2, "ZeroED correlated attribute count")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.IntVar(&o.workers, "workers", 0, "ZeroED worker-pool size (0 = GOMAXPROCS); results are identical for any value")
-	flag.IntVar(&o.shards, "shards", 0, "ZeroED scoring-shard count (0 = auto); results are identical for any value")
 	flag.StringVar(&o.batch, "batch", "", "detect a batch over one shared pool: comma-separated dirty CSVs, or a replica count with -dataset (replicas generated at seeds seed..seed+n-1)")
 	flag.StringVar(&o.outPath, "out", "", "optional path to write the predicted error mask as CSV")
 	flag.StringVar(&o.repairOut, "repair", "", "optional path to write a repaired copy of the data as CSV")
@@ -220,7 +218,7 @@ func writeTrace(path string, tr *obs.Trace) error {
 func (o runOpts) zeroedConfig() zeroed.Config {
 	return zeroed.Config{
 		LabelRate: o.labelRate, CorrK: o.corrK, Seed: o.seed,
-		Workers: o.workers, Shards: o.shards,
+		Workers: o.workers,
 	}
 }
 
@@ -340,7 +338,7 @@ func run(ctx context.Context, o runOpts) error {
 			if err != nil {
 				return err
 			}
-			m.SetParallelism(o.workers, o.shards)
+			m.SetWorkers(o.workers)
 			proj, mapping, err := table.Project(dirty, m.Attrs())
 			if err != nil {
 				return err
@@ -521,7 +519,7 @@ func runStream(ctx context.Context, o runOpts) error {
 	if err != nil {
 		return err
 	}
-	m.SetParallelism(o.workers, o.shards)
+	m.SetWorkers(o.workers)
 	ss, err := zeroed.NewStreamScorer(m, zeroed.StreamConfig{
 		DriftThreshold: o.driftThreshold,
 		DriftMinRows:   o.driftMinRows,

@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	zeroedd [-addr :8080] [-workers N] [-shards N]
+//	zeroedd [-addr :8080] [-workers N]
 //	        [-max-concurrent 2] [-max-queue 16]
 //	        [-max-upload-bytes 33554432] [-max-rows 1000000] [-max-cols 256]
 //	        [-max-models 32] [-model-dir DIR]
@@ -102,7 +102,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "shared worker-pool size all jobs draw from (0 = GOMAXPROCS)")
-		shards      = flag.Int("shards", 0, "per-job scoring-shard count (0 = auto); results are identical for any value")
 		maxConc     = flag.Int("max-concurrent", 2, "pool-heavy units (detect jobs, fits, refits) running at once (they share the one pool)")
 		maxQueue    = flag.Int("max-queue", 16, "admission-queue depth for jobs and fits waiting to run; beyond it they get 429")
 		maxBytes    = flag.Int64("max-upload-bytes", 32<<20, "request-body byte cap (413 beyond it)")
@@ -147,7 +146,6 @@ func main() {
 
 	svc := serve.New(serve.Config{
 		Workers:           *workers,
-		Shards:            *shards,
 		MaxConcurrentJobs: *maxConc,
 		MaxQueuedJobs:     *maxQueue,
 		MaxUploadBytes:    *maxBytes,

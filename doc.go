@@ -34,8 +34,7 @@
 // by perfbench as zeroed.fit.<stage>_ms and by the service as
 // zeroedd_fit_stage_seconds), criteria verification and
 // guideline labeling are value-ID-deduplicated (criteria.SetMemo,
-// llm.JudgeMemo; Config.DisableFitDedup is the escape hatch, with
-// on≡off bit-identity pinned by TestFitDedupEquivalence), the MLP
+// llm.JudgeMemo, with the fitted result pinned by TestDetectGolden), the MLP
 // trains over a flat feature tile (nn.Train, with training bits pinned by
 // TestTrainGoldenBits), and the repo root carries a checked-in PGO profile
 // (default.pgo, regenerated by scripts/fitprofile.sh) that CI builds

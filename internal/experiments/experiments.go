@@ -37,9 +37,6 @@ type Options struct {
 	// Workers bounds ZeroED's shared worker pool (0 = GOMAXPROCS). Results
 	// are identical for any value; only wall-clock changes.
 	Workers int
-	// Shards sets ZeroED's scoring-shard count (0 = auto). Results are
-	// identical for any value.
-	Shards int
 	// Batch runs the Fig. 7b/8b Tax sweep's ZeroED detections as one
 	// DetectBatch over the shared pool instead of serially. Per-size
 	// results are bit-identical either way; the reported per-size runtimes
@@ -91,7 +88,7 @@ func comparisonBenches(o Options) []*datasets.Bench {
 // zeroedConfig is the paper-default ZeroED configuration with the run's
 // parallelism knobs applied.
 func (o Options) zeroedConfig() zeroed.Config {
-	return zeroed.Config{Seed: o.Seed, Workers: o.Workers, Shards: o.Shards}
+	return zeroed.Config{Seed: o.Seed, Workers: o.Workers}
 }
 
 // runZeroED executes ZeroED with the given config and scores it.

@@ -45,7 +45,7 @@ func FuzzLoadModel(f *testing.F) {
 		for j := range row {
 			row[j] = "fuzz"
 		}
-		decoded.SetParallelism(1, 1)
+		decoded.SetWorkers(1)
 		if _, err := decoded.ScoreRowsOn(context.Background(), nil, [][]string{row}); err != nil {
 			t.Logf("scoring decoded artifact: %v", err)
 		}

@@ -17,6 +17,12 @@
 // count) to the config section; this build writes version 2 and reads both.
 // A version-1 artifact decodes with lineage {Version: 1, RefitRows: 0}.
 //
+// The config section keeps three scheduling slots (a worker count, a
+// scoring-shard count and a score-dedup switch) that cannot change a
+// score: they are written as zero and ignored on decode, so artifacts of
+// either version load, a fit encodes the same bytes on every host, and a
+// loaded model schedules on the loading host's GOMAXPROCS.
+//
 // Guarantees: encoding is deterministic (map contents are sorted), floats
 // round-trip bit-exactly (raw IEEE-754 bits), and decoding is total — a
 // truncated, bit-flipped, wrong-magic, wrong-version, or otherwise corrupt
@@ -333,9 +339,14 @@ func encodeConfig(w *writer, st *zeroed.ModelState) {
 	w.f64(c.MLP.L2)
 	w.f64(c.Threshold)
 	w.i64(c.Seed)
-	w.int(c.Workers)
-	w.int(c.Shards)
-	w.bool(c.DisableScoreDedup)
+	// Three scheduling slots, once Config.Workers, Config.Shards and
+	// Config.DisableScoreDedup. None of them can change a score, so they
+	// are written as 0, 0, false and skipped on decode, where the loading
+	// host's GOMAXPROCS sets the worker count; keeping them keeps the byte
+	// layout of versions 1 and 2.
+	w.int(0)
+	w.int(0)
+	w.bool(false)
 	w.int(c.MaxPropagatedPerAttr)
 	w.int(c.ClusterSampleRows)
 	w.int(c.MaxClustersPerAttr)
@@ -385,9 +396,9 @@ func decodeConfig(r *reader, st *zeroed.ModelState, version uint32) error {
 	c.MLP.L2 = r.f64()
 	c.Threshold = r.f64()
 	c.Seed = r.i64()
-	c.Workers = r.int()
-	c.Shards = r.int()
-	c.DisableScoreDedup = r.bool()
+	r.int() // scheduling slots, see encodeConfig
+	r.int()
+	r.bool()
 	c.MaxPropagatedPerAttr = r.int()
 	c.ClusterSampleRows = r.int()
 	c.MaxClustersPerAttr = r.int()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -81,7 +82,7 @@ func TestSaveLoadScoreBitIdentical(t *testing.T) {
 		t.Fatalf("fit diagnostics did not round-trip: %+v vs %+v", loaded.Info(), m.Info())
 	}
 	for _, workers := range []int{1, 8} {
-		loaded.SetParallelism(workers, 0)
+		loaded.SetWorkers(workers)
 		got, err := loaded.ScoreOn(context.Background(), nil, bench.Dirty)
 		if err != nil {
 			t.Fatal(err)
@@ -117,6 +118,36 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("two encodings of one model differ")
+	}
+}
+
+// TestEncodeIgnoresWorkers: the worker count schedules scoring on a host;
+// it is not part of the model. Encoding writes none, so a model encodes the
+// same bytes whatever its Workers, and a loaded model takes the loading
+// host's GOMAXPROCS rather than the fitting host's.
+func TestEncodeIgnoresWorkers(t *testing.T) {
+	m, _ := fitSmall(t) // fitted with Workers: 2
+	data, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var enc [2][]byte
+	for k, workers := range []int{1, 5} {
+		loaded, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.Config().Workers; got != 1 {
+			t.Errorf("loaded model schedules %d workers, want the loading host's GOMAXPROCS 1", got)
+		}
+		loaded.SetWorkers(workers)
+		if enc[k], err = Encode(loaded); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(enc[0], enc[1]) {
+		t.Fatal("encoding one model at 1 and 5 workers gave different bytes")
 	}
 }
 

@@ -68,9 +68,6 @@ type Config struct {
 	// Workers is the shared worker-pool size every concurrent job draws
 	// from (0 = GOMAXPROCS). This is the machine-wide parallelism bound.
 	Workers int
-	// Shards is the per-job scoring-shard count (0 = auto). Results are
-	// bit-identical for any value.
-	Shards int
 	// MaxConcurrentJobs bounds the pool-heavy units (detect jobs, fits,
 	// refits) running at once (default 2). They share the one pool, so this
 	// trades per-unit latency against cross-unit fairness, never total load.
@@ -350,7 +347,6 @@ func (m *manager) jobConfig(p JobParams) zeroed.Config {
 		Threshold: p.Threshold,
 		Seed:      p.Seed,
 		Workers:   m.cfg.Workers,
-		Shards:    m.cfg.Shards,
 		Profile:   profile,
 	}
 }

@@ -13,12 +13,8 @@ import (
 // (defaulted) configuration and seed, so DetectBatch(ds)[i] is bit-identical
 // to DetectOn(ds[i]) — batching changes scheduling, never results. Token
 // usage is accounted per dataset, as if each had its own client. A
-// canceled context aborts every run of the batch.
-//
-// The entries of ds must be distinct datasets (not the same object twice):
-// synthetic-error featurization temporarily substitutes values in place,
-// so concurrent runs may not share a dataset. Clone to detect one dataset
-// under several slots.
+// canceled context aborts every run of the batch. Runs only read their
+// datasets, so one dataset may fill several slots.
 func (dt *Detector) DetectBatch(ctx context.Context, ds []*table.Dataset) ([]*Result, error) {
 	pool := NewPool(dt.cfg.Workers)
 	results := make([]*Result, len(ds))

@@ -91,7 +91,7 @@ func TestDetectContextCanceled(t *testing.T) {
 // repeated jobs with the same output.
 func TestDetectOnSharedPool(t *testing.T) {
 	bench := datasets.Hospital(120, 4)
-	cfg := detConfig(2, 0)
+	cfg := detConfig(2)
 	cfg.MLP = nn.Config{Hidden1: 8, Hidden2: 4, Epochs: 3, Seed: 1}
 	rows := make([][]string, 20)
 	for i := range rows {

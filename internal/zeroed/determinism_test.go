@@ -1,8 +1,8 @@
 package zeroed
 
 // The deterministic-parallelism suite: the engine promises that worker
-// count, scoring-shard count, and batch scheduling change wall-clock only —
-// never results. These tests pin that promise bit-for-bit: predictions are
+// count (and with it the scoring-shard count, 4×Workers) and batch
+// scheduling change wall-clock only — never results. These tests pin that promise bit-for-bit: predictions are
 // compared cell by cell and scores both bitwise and as a score sum rendered
 // to 17 significant digits (float64 round-trip precision).
 
@@ -27,13 +27,12 @@ func detBenches() []*datasets.Bench {
 }
 
 // detConfig is the suite's seeded base configuration.
-func detConfig(workers, shards int) Config {
+func detConfig(workers int) Config {
 	return Config{
 		LabelRate: 0.08,
 		EmbedDim:  16,
 		Seed:      7,
 		Workers:   workers,
-		Shards:    shards,
 	}
 }
 
@@ -81,29 +80,22 @@ func assertResultsIdentical(t *testing.T, name string, a, b *Result) {
 }
 
 // TestWorkerAndShardInvariance is the core determinism guarantee: seeded
-// DetectOn produces byte-identical results for Workers=1 vs Workers=8 and for
-// Shards=1 vs Shards=4.
+// DetectOn produces byte-identical results for Workers 1, 3 and 8, which
+// score in 4, 12 and 32 row shards. TestScoreShardCountsMatchDirect pins
+// shard counts the worker axis does not reach.
 func TestWorkerAndShardInvariance(t *testing.T) {
 	for _, bench := range detBenches() {
 		t.Run(bench.Name, func(t *testing.T) {
-			ref, err := New(detConfig(1, 1)).DetectOn(context.Background(), nil, bench.Dirty)
+			ref, err := New(detConfig(1)).DetectOn(context.Background(), nil, bench.Dirty)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, tc := range []struct {
-				name            string
-				workers, shards int
-			}{
-				{"workers8/shards1", 8, 1},
-				{"workers1/shards4", 1, 4},
-				{"workers8/shards4", 8, 4},
-				{"workers3/shardsAuto", 3, 0},
-			} {
-				got, err := New(detConfig(tc.workers, tc.shards)).DetectOn(context.Background(), nil, bench.Dirty)
+			for _, workers := range []int{8, 3} {
+				got, err := New(detConfig(workers)).DetectOn(context.Background(), nil, bench.Dirty)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertResultsIdentical(t, tc.name, ref, got)
+				assertResultsIdentical(t, fmt.Sprintf("workers%d", workers), ref, got)
 			}
 			t.Logf("%s: score sum %s invariant across workers and shards", bench.Name, scoreSum17(ref))
 		})
@@ -112,23 +104,22 @@ func TestWorkerAndShardInvariance(t *testing.T) {
 
 // TestDetectBatchMatchesDetect pins the batch guarantee: multiplexing
 // several datasets over one shared pool returns, per dataset, exactly what
-// an individual DetectOn returns.
+// an individual DetectOn returns. The first dataset fills two slots, which
+// are detected concurrently: runs only read their input.
 func TestDetectBatchMatchesDetect(t *testing.T) {
 	benches := detBenches()
+	benches = append(benches, benches[0])
 	ds := make([]*table.Dataset, len(benches))
 	for i, b := range benches {
-		// Clone: DetectOn runs feature substitution in place, so the batch
-		// and individual runs must each own their copy to stay independent
-		// in this test's concurrent setting.
-		ds[i] = b.Dirty.Clone()
+		ds[i] = b.Dirty
 	}
-	det := New(detConfig(4, 0))
+	det := New(detConfig(4))
 	batch, err := det.DetectBatch(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range benches {
-		solo, err := New(detConfig(2, 2)).DetectOn(context.Background(), nil, b.Dirty)
+		solo, err := New(detConfig(2)).DetectOn(context.Background(), nil, b.Dirty)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ const (
 
 // attrRng derives the deterministic random source for one attribute and
 // pipeline phase, so parallel and sequential execution produce identical
-// results for any worker or shard count.
+// results for any worker count.
 func attrRng(seed int64, attr, phase int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(attr)*7919 + int64(phase)*104729))
 }
@@ -42,7 +42,7 @@ func attrRng(seed int64, attr, phase int) *rand.Rand {
 // attribute or row), every stochastic step draws from a per-(attribute,
 // phase) stream via attrRng, and cross-unit aggregation happens in index
 // order after the stage joins. Results are therefore bit-identical for any
-// Workers and Shards setting.
+// Workers setting.
 type engine struct {
 	cfg    Config
 	ctx    context.Context
@@ -84,11 +84,12 @@ func (dt *Detector) DetectOn(ctx context.Context, p *Pool, d *table.Dataset) (*R
 	if err != nil {
 		return nil, err
 	}
-	// The fit dataset needs no re-interning: the model's dictionaries ARE
-	// its pools, so every cell ID is already bound — score it directly
-	// instead of paying ScoreOn's O(cells) copy. ScoreOn(FitOn(ds), ds)
-	// takes the copying path and lands on the same IDs, which is why the
-	// two are bit-identical.
+	// The fit dataset needs no re-interning: the model's dictionaries extend
+	// its pools (FitOn fitted a clone of d, whose pools only grew past d's),
+	// so every cell ID is already bound — score it directly instead of
+	// paying ScoreOn's O(cells) copy. ScoreOn(FitOn(ds), ds) takes the
+	// copying path and lands on the same IDs, which is why the two are
+	// bit-identical.
 	res, err := m.scoreBound(ctx, p, d)
 	if err != nil {
 		return nil, err
@@ -108,6 +109,10 @@ func (dt *Detector) DetectOn(ctx context.Context, p *Pool, d *table.Dataset) (*R
 // and packages everything scoring needs into a reusable Model. FitOn never
 // scores the dataset; compose with ScoreOn, or use DetectOn for the
 // one-shot form. Cancellation checkpoints are DetectOn's.
+//
+// FitOn never writes to d: it fits a private clone, into whose pools
+// synthetic-error featurization interns its substituted values, so fitting
+// one dataset twice builds the same model twice.
 func (dt *Detector) FitOn(ctx context.Context, p *Pool, d *table.Dataset) (*Model, error) {
 	start := time.Now()
 	if ctx == nil {
@@ -116,6 +121,7 @@ func (dt *Detector) FitOn(ctx context.Context, p *Pool, d *table.Dataset) (*Mode
 	if d.NumRows() == 0 || d.NumCols() == 0 {
 		return nil, fmt.Errorf("zeroed: empty dataset")
 	}
+	d = d.Clone()
 	// The fit span carries every stage span below it. Spans observe wall
 	// time and allocs strictly out of band — RNG streams, dedup caches, and
 	// every computed value are untouched, so tracing on ≡ tracing off
@@ -343,13 +349,10 @@ func (e *engine) stageSampleAndLabel() error {
 			guideline = e.client.GenerateGuideline(e.d, j, e.corrFor(j), prof, samplesHead(sampleRows, 20))
 		}
 		// Guideline judgements are a pure function of the cell's value-ID
-		// tuple, so by default they dedup through a per-attribute memo
-		// shared across the attribute's batches; verdicts, noise, and token
-		// charging are bit-identical either way.
-		var memo *llm.JudgeMemo
-		if !e.cfg.DisableFitDedup {
-			memo = llm.NewJudgeMemo(e.d, j, guideline)
-		}
+		// tuple, so they dedup through a per-attribute memo shared across
+		// the attribute's batches; verdicts, noise, and token charging are
+		// bit-identical to judging every cell afresh.
+		memo := llm.NewJudgeMemo(e.d, j, guideline)
 		for s := 0; s < len(sampleRows); s += e.cfg.BatchSize {
 			if e.ctx.Err() != nil {
 				return
@@ -381,7 +384,7 @@ func (e *engine) stageSampleAndLabel() error {
 // training cells plus the synthetic augmented errors — sample i occupies
 // flat[i*dim : (i+1)*dim], the layout nn.Train consumes directly. Real
 // cells are featurized in parallel (pure reads of the memo tables);
-// synthetic cells substitute values into the shared dataset in place, so
+// synthetic cells substitute values into the fit's dataset in place, so
 // they run serially after the parallel pass.
 func (e *engine) stageTrainingMatrix() ([]float64, int, []float64) {
 	dim := e.ext.Dim()
@@ -443,7 +446,8 @@ func shardRanges(n, shards int) []rowRange {
 }
 
 // featureWithSubstitution computes the feature vector of a synthetic
-// augmented-error cell by temporarily substituting the value in place.
+// augmented-error cell by temporarily substituting the value in place (in
+// FitOn's private clone).
 // Frequency tables keep their original counts, which is the realistic
 // treatment: a novel error value has (near-)zero observed frequency. The
 // substituted value is interned into the column's pool past the

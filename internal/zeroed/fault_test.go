@@ -18,7 +18,7 @@ func TestDetectBitIdenticalUnderTransientJudgeFaults(t *testing.T) {
 	faultpoint.Reset()
 	defer faultpoint.Reset()
 	bench := datasets.Hospital(180, 7)
-	cfg := detConfig(2, 1)
+	cfg := detConfig(2)
 
 	clean, err := New(cfg).DetectOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestFitFailsCleanlyWhenRetriesExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	bench := datasets.Hospital(120, 3)
-	_, err := New(detConfig(2, 1)).FitOn(context.Background(), nil, bench.Dirty)
+	_, err := New(detConfig(2)).FitOn(context.Background(), nil, bench.Dirty)
 	if err == nil {
 		t.Fatal("FitOn succeeded with the judge permanently failing")
 	}

@@ -1,8 +1,8 @@
 package zeroed
 
 // Tests for the fit/score split: DetectOn must be exactly FitOn composed
-// with ScoreOn (bit-identical verdicts and float64 score bits for any worker and
-// shard count), ModelState must round-trip losslessly, and scoring new rows
+// with ScoreOn (bit-identical verdicts and float64 score bits for any worker
+// count), ModelState must round-trip losslessly, and scoring new rows
 // — including rows with values never seen during fitting — must be defined
 // and deterministic.
 
@@ -38,26 +38,25 @@ func assertScoresIdentical(t *testing.T, name string, a, b *Result) {
 }
 
 // TestDetectEqualsFitScore pins the tentpole contract: DetectOn(ds) ≡
-// ScoreOn(FitOn(ds), ds), for Workers∈{1,8} crossed with shard settings.
-// DetectOn's own worker/shard invariance is pinned by
-// TestWorkerAndShardInvariance, so one DetectOn reference per dataset
-// suffices; -short trims the matrix to keep the race-enabled CI job inside
-// its budget.
+// ScoreOn(FitOn(ds), ds), for Workers∈{1,8}. DetectOn's own worker
+// invariance is pinned by TestWorkerAndShardInvariance, so one DetectOn
+// reference per dataset suffices; -short trims the matrix to keep the
+// race-enabled CI job inside its budget.
 func TestDetectEqualsFitScore(t *testing.T) {
 	benches := detBenches()
-	configs := []struct{ workers, shards int }{{1, 1}, {8, 3}, {8, 0}, {1, 4}}
+	workerCounts := []int{1, 8}
 	if testing.Short() {
 		benches = benches[:1]
-		configs = configs[1:2] // one parallel config; full mode covers the matrix
+		workerCounts = workerCounts[1:] // one parallel config; full mode covers both
 	}
 	for _, bench := range benches {
 		t.Run(bench.Name, func(t *testing.T) {
-			det, err := New(detConfig(2, 0)).DetectOn(context.Background(), nil, bench.Dirty)
+			det, err := New(detConfig(2)).DetectOn(context.Background(), nil, bench.Dirty)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, tc := range configs {
-				m, err := New(detConfig(tc.workers, tc.shards)).FitOn(context.Background(), nil, bench.Dirty)
+			for _, workers := range workerCounts {
+				m, err := New(detConfig(workers)).FitOn(context.Background(), nil, bench.Dirty)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +64,7 @@ func TestDetectEqualsFitScore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				name := fmt.Sprintf("%s/w%d-s%d", bench.Name, tc.workers, tc.shards)
+				name := fmt.Sprintf("%s/w%d", bench.Name, workers)
 				assertScoresIdentical(t, name, det, scored)
 				if m.Info().SampledCells != det.SampledCells ||
 					m.Info().TrainingCells != det.TrainingCells ||
@@ -84,7 +83,7 @@ func TestDetectEqualsFitScore(t *testing.T) {
 // rather than copied) scores bit-identically, for Workers∈{1,8}.
 func TestModelStateRoundTrip(t *testing.T) {
 	bench := datasets.Hospital(180, 7)
-	m, err := New(detConfig(2, 0)).FitOn(context.Background(), nil, bench.Dirty)
+	m, err := New(detConfig(2)).FitOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestModelStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
-		restored.SetParallelism(workers, 0)
+		restored.SetWorkers(workers)
 		got, err := restored.ScoreOn(context.Background(), nil, bench.Dirty)
 		if err != nil {
 			t.Fatal(err)
@@ -112,7 +111,7 @@ func TestModelStateRoundTrip(t *testing.T) {
 func TestScoreRowsMatchesScore(t *testing.T) {
 	bench := datasets.Hospital(160, 5)
 	d := bench.Dirty
-	m, err := New(detConfig(2, 0)).FitOn(context.Background(), nil, d)
+	m, err := New(detConfig(2)).FitOn(context.Background(), nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,23 +155,17 @@ func TestScoreRowsMatchesScore(t *testing.T) {
 
 // TestScoreWarmCacheEquivalence pins the model-lifetime warm cache: a
 // second ScoreOn call (served largely from scores the first call computed)
-// is bit-identical to the first, to a dedup-disabled model's scoring, and
-// to DetectOn — including rows carrying values the fit never saw, which are
-// excluded from the shared cache by the stable-ID check.
+// is bit-identical to the first and to DetectOn — including rows carrying
+// values the fit never saw, which are excluded from the shared cache by the
+// stable-ID check.
 func TestScoreWarmCacheEquivalence(t *testing.T) {
 	bench := datasets.Hospital(200, 7)
-	cfg := detConfig(4, 0)
+	cfg := detConfig(4)
 	det, err := New(cfg).DetectOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, err := New(cfg).FitOn(context.Background(), nil, bench.Dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgOff := cfg
-	cfgOff.DisableScoreDedup = true
-	mOff, err := New(cfgOff).FitOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +177,8 @@ func TestScoreWarmCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := mOff.ScoreOn(context.Background(), nil, bench.Dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
 	assertScoresIdentical(t, "cold-vs-detect", det, cold)
 	assertScoresIdentical(t, "warm-vs-cold", cold, warm)
-	assertScoresIdentical(t, "dedup-off", cold, off)
 
 	novel := [][]string{bench.Dirty.Row(0), bench.Dirty.Row(1)}
 	novel[1][0] = "warm-cache-novel-value"
@@ -202,19 +190,14 @@ func TestScoreWarmCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := mOff.ScoreRowsOn(context.Background(), nil, novel)
-	if err != nil {
-		t.Fatal(err)
-	}
 	assertScoresIdentical(t, "novel-warm", a, b)
-	assertScoresIdentical(t, "novel-dedup-off", a, c)
 }
 
 // TestScoreInputValidation: schema and arity violations are errors, not
 // panics.
 func TestScoreInputValidation(t *testing.T) {
 	bench := datasets.Hospital(150, 5)
-	m, err := New(detConfig(1, 0)).FitOn(context.Background(), nil, bench.Dirty)
+	m, err := New(detConfig(1)).FitOn(context.Background(), nil, bench.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,72 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// TestFitDedupEquivalence pins the fit-phase dedup contract, mirroring
-// TestScoreDedupEquivalence: fitting with the per-value-ID caches (criteria
-// verdict memo, guideline judgement memo) is bit-identical — every verdict,
-// every score bit, every diagnostic — to fitting with them off, across
-// worker and shard counts.
-func TestFitDedupEquivalence(t *testing.T) {
-	benches := detBenches()
-	combos := [][2]int{{1, 1}, {1, 4}, {8, 1}, {8, 4}} // {workers, shards}
-	if testing.Short() {
-		// Smoke slice (the -race CI budget): one bench, the two extreme
-		// worker/shard corners. The full grid runs in long mode.
-		benches = benches[:1]
-		combos = [][2]int{{1, 1}, {8, 4}}
-	}
-	for _, bench := range benches {
-		t.Run(bench.Name, func(t *testing.T) {
-			for _, wc := range combos {
-				on := detConfig(wc[0], wc[1])
-				off := on
-				off.DisableFitDedup = true
-				a, err := New(on).DetectOn(context.Background(), nil, bench.Dirty)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := New(off).DetectOn(context.Background(), nil, bench.Dirty)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertResultsIdentical(t, "fit-dedup-on-vs-off", a, b)
-			}
-		})
-	}
-}
-
-// TestFitDedupEquivalenceUnderAblations re-checks the on ≡ off contract on
-// the pipeline variants that exercise the caches' edge cases: no guidelines
-// (batch-only labeling must stay uncached), no verification (no criteria
-// memo in play), and no criteria at all.
-func TestFitDedupEquivalenceUnderAblations(t *testing.T) {
-	bench := detBenches()[0]
-	for _, tc := range []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"no-guidelines", func(c *Config) { c.DisableGuidelines = true }},
-		{"no-verification", func(c *Config) { c.DisableVerification = true }},
-		{"no-criteria", func(c *Config) { c.DisableCriteria = true }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			on := detConfig(2, 2)
-			tc.mutate(&on)
-			off := on
-			off.DisableFitDedup = true
-			a, err := New(on).DetectOn(context.Background(), nil, bench.Dirty)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := New(off).DetectOn(context.Background(), nil, bench.Dirty)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsIdentical(t, tc.name, a, b)
-		})
-	}
-}
-
 // TestFitStageTimings pins the per-stage observability contract: a fit
 // reports one timing per pipeline stage, in pipeline order, with sane
 // values, and each stage is measured once. With tracing on, every stage's
@@ -92,7 +26,7 @@ func TestFitStageTimings(t *testing.T) {
 		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
 			obs.SetEnabled(traced)
 			ctx, tr := obs.NewTrace(context.Background(), "test")
-			m, err := New(detConfig(2, 2)).FitOn(ctx, nil, bench.Dirty)
+			m, err := New(detConfig(2)).FitOn(ctx, nil, bench.Dirty)
 			tr.Finish()
 			obs.SetEnabled(false)
 			if err != nil {

@@ -21,7 +21,7 @@ import (
 // the fitting data, and the configuration and seed of the run.
 //
 // Contract: DetectOn(ds) ≡ ScoreOn(FitOn(ds), ds) bit-for-bit (verdicts and
-// float64 score bits, for any worker and shard count), and a model that
+// float64 score bits, for any worker count), and a model that
 // round-trips through the internal/model artifact codec scores
 // bit-identically to the in-memory original. New rows are scored by
 // interning their values into the model's dictionaries: values seen during
@@ -49,8 +49,7 @@ type Model struct {
 	// cacheOnce/cache is the model-lifetime warm score cache: value-ID
 	// tuples over feature.DepCols are stable across every dataset bound to
 	// the model's dictionaries, so scores computed in one scoring call replay
-	// bit-identically in later ones. Built lazily on first scoring use;
-	// disabled by Config.DisableScoreDedup.
+	// bit-identically in later ones. Built lazily on first scoring use.
 	cacheOnce sync.Once
 	cache     *sharedScoreCache
 }
@@ -133,14 +132,12 @@ func (m *Model) Lineage() Lineage {
 // affect scoring.
 func (m *Model) SetLineage(l Lineage) { m.lineage = l }
 
-// SetParallelism overrides the worker and shard counts used by subsequent
-// scoring calls — scheduling knobs only; results are bit-identical for any
-// setting. Zero or negative workers means GOMAXPROCS, zero shards means
-// auto, mirroring Config.
-func (m *Model) SetParallelism(workers, shards int) {
+// SetWorkers overrides the worker count used by subsequent scoring calls —
+// a scheduling knob only; results are bit-identical for any setting. Zero
+// or negative means GOMAXPROCS, mirroring Config.
+func (m *Model) SetWorkers(n int) {
 	c := m.cfg
-	c.Workers = workers
-	c.Shards = shards
+	c.Workers = n
 	m.cfg = c.withDefaults()
 }
 
@@ -209,11 +206,10 @@ func (m *Model) ScoreRowsOn(ctx context.Context, p *Pool, rows [][]string) (*Res
 }
 
 // scoreBound scores every cell of a dataset already bound to the model's
-// dictionaries. Scoring is sharded exactly as in the engine: contiguous row
-// shards run as independent units on the pool, each with its own fused
-// shardScorer over the shared rebound extractor and fitted MLP, writing
-// disjoint row ranges — bit-identical for every worker and shard count, and
-// for dedup on vs off.
+// dictionaries. Contiguous row shards run as independent units on the
+// pool, each with its own fused shardScorer over the shared rebound
+// extractor and fitted MLP, writing disjoint row ranges — bit-identical for
+// every worker and shard count.
 func (m *Model) scoreBound(ctx context.Context, pool *Pool, sd *table.Dataset) (*Result, error) {
 	start := time.Now()
 	if ctx == nil {
@@ -230,19 +226,9 @@ func (m *Model) scoreBound(ctx context.Context, pool *Pool, sd *table.Dataset) (
 	pred := newMask(sd)
 	scores := newMatrix(n, cols)
 	if m.mlp != nil {
-		ext := m.ext.Rebind(sd)
-		var shared *sharedScoreCache
-		if !m.cfg.DisableScoreDedup {
-			m.cacheOnce.Do(func() {
-				stable := make([]uint32, len(m.dicts))
-				for j := range m.dicts {
-					stable[j] = uint32(len(m.dicts[j]))
-				}
-				m.cache = newSharedScoreCache(stable, len(m.attrs))
-			})
-			shared = m.cache
-		}
-		scoreCells(ctx, pool, m.cfg, ext, m.mlp, sd, pred, scores, shared)
+		m.cacheOnce.Do(func() { m.cache = newSharedScoreCache(m.dicts) })
+		scoreCells(ctx, pool, m.ext.Rebind(sd), m.mlp, sd, m.cfg.Threshold,
+			m.cfg.shardCount(n), pred, scores, m.cache)
 	} else {
 		// Degenerate fit: replay the propagated labels. They are positional
 		// in the fitting dataset; rows beyond it carry no evidence and stay
@@ -259,23 +245,20 @@ func (m *Model) scoreBound(ctx context.Context, pool *Pool, sd *table.Dataset) (
 	return &Result{Pred: pred, Scores: scores, Runtime: time.Since(start)}, nil
 }
 
-// scoreCells runs the sharded scoring pass over every cell of d into the
-// shared pred/scores matrices. Shared by DetectOn's fused fit-then-score
-// and by standalone ScoreOn/ScoreRowsOn calls; shared, when non-nil, is the
-// model-lifetime warm cache spanning shards and calls.
-func scoreCells(ctx context.Context, pool *Pool, cfg Config, ext *feature.Extractor,
-	mlp *nn.MLP, d *table.Dataset, pred [][]bool, scores [][]float64, shared *sharedScoreCache) {
-	n, cols := d.NumRows(), d.NumCols()
+// scoreCells runs the scoring pass over every cell of d, cut into the given
+// number of row shards, into the shared pred/scores matrices. Shared by
+// DetectOn's fused fit-then-score and by standalone ScoreOn/ScoreRowsOn
+// calls; shared is the model-lifetime warm cache spanning shards and calls.
+func scoreCells(ctx context.Context, pool *Pool, ext *feature.Extractor, mlp *nn.MLP,
+	d *table.Dataset, threshold float64, nshards int, pred [][]bool, scores [][]float64,
+	shared *sharedScoreCache) {
 	// depCols[j] is the value-ID tuple that keys column j's dedup cache;
 	// derived once per scoring pass, after criteria refinement has settled.
-	var depCols [][]int
-	if !cfg.DisableScoreDedup {
-		depCols = make([][]int, cols)
-		for j := range depCols {
-			depCols[j] = ext.DepCols(j)
-		}
+	depCols := make([][]int, d.NumCols())
+	for j := range depCols {
+		depCols[j] = ext.DepCols(j)
 	}
-	shards := shardRanges(n, cfg.shardCount(n))
+	shards := shardRanges(d.NumRows(), nshards)
 	pool.forN(len(shards), func(s int) {
 		if ctx.Err() != nil {
 			return
@@ -283,7 +266,7 @@ func scoreCells(ctx context.Context, pool *Pool, cfg Config, ext *feature.Extrac
 		_, span := obs.Start(ctx, "score.shard")
 		span.SetInt("lo", int64(shards[s].lo))
 		span.SetInt("hi", int64(shards[s].hi))
-		sc := newShardScorer(ext, mlp, d, depCols, cfg.Threshold, scores, pred, shared)
+		sc := newShardScorer(ext, mlp, d, depCols, threshold, scores, pred, shared)
 		sc.scoreRows(ctx, shards[s].lo, shards[s].hi)
 		span.End()
 	})
@@ -326,10 +309,6 @@ func (m *Model) State() *ModelState {
 	return st
 }
 
-// maxRestoredWorkers caps the scheduling knobs a restored artifact may
-// carry; beyond it the values cannot be a real machine's configuration.
-const maxRestoredWorkers = 1 << 16
-
 // ModelFromState reconstructs a scoring-ready model, validating every
 // cross-component invariant — a corrupt or adversarial state surfaces as an
 // error here, never as a panic on the scoring hot path.
@@ -346,9 +325,6 @@ func ModelFromState(st *ModelState) (*Model, error) {
 	cfg := st.Cfg
 	if math.IsNaN(cfg.Threshold) || math.IsInf(cfg.Threshold, 0) || cfg.Threshold < 0 || cfg.Threshold >= 1 {
 		return nil, fmt.Errorf("zeroed: model state threshold %v out of range [0, 1)", cfg.Threshold)
-	}
-	if cfg.Workers > maxRestoredWorkers || cfg.Shards > maxRestoredWorkers {
-		return nil, fmt.Errorf("zeroed: model state workers/shards %d/%d exceed %d", cfg.Workers, cfg.Shards, maxRestoredWorkers)
 	}
 	cfg = cfg.withDefaults()
 	proto, err := table.NewFromDicts("model", st.Attrs, st.Dicts)

@@ -37,9 +37,12 @@ type sharedScoreCol struct {
 	m  map[string]float64
 }
 
-func newSharedScoreCache(stableIDs []uint32, cols int) *sharedScoreCache {
-	c := &sharedScoreCache{stableIDs: stableIDs, cols: make([]sharedScoreCol, cols)}
+// newSharedScoreCache builds an empty cache over a model's fit-time
+// dictionaries, whose sizes bound the stable IDs.
+func newSharedScoreCache(dicts [][]string) *sharedScoreCache {
+	c := &sharedScoreCache{stableIDs: make([]uint32, len(dicts)), cols: make([]sharedScoreCol, len(dicts))}
 	for j := range c.cols {
+		c.stableIDs[j] = uint32(len(dicts[j]))
 		c.cols[j].m = make(map[string]float64)
 	}
 	return c
@@ -71,15 +74,16 @@ func (c *sharedScoreCache) store(j int, key []byte, v float64) {
 // (nn.PredictInto) — no per-cell slice materialization, no per-row
 // allocation.
 //
-// When dedup is enabled (depCols non-nil), the scorer also memoizes scores
-// per column behind a value-ID key: FeatureInto(i, j) is a pure function
-// of the tuple's value IDs over feature.DepCols(j), so two rows that agree
-// on those IDs receive bit-identical feature vectors and therefore
-// bit-identical MLP outputs. Each repeated (own value, correlated context)
-// combination — which value interning makes very common — is featurized
-// and scored once per shard and replayed from the cache afterwards. The
-// cached value is the exact float64 the model produced, so scoring with
-// the cache is bit-identical to scoring without it, for every shard count.
+// The scorer memoizes scores per column behind a value-ID key:
+// FeatureInto(i, j) is a pure function of the tuple's value IDs over
+// feature.DepCols(j), so two rows that agree on those IDs receive
+// bit-identical feature vectors and therefore bit-identical MLP outputs.
+// Each repeated (own value, correlated context) combination — which value
+// interning makes very common — is featurized and scored once per shard and
+// replayed from the cache afterwards. The cached value is the exact float64
+// the model produced, so every cell's score equals a direct
+// RowFeaturesInto+PredictInto computation, for every shard count (pinned by
+// TestScoreShardCountsMatchDirect).
 type shardScorer struct {
 	ext       *feature.Extractor
 	mlp       *nn.MLP
@@ -91,19 +95,17 @@ type shardScorer struct {
 	scores [][]float64
 	pred   [][]bool
 
-	// depCols[j] keys column j's cache; nil disables dedup entirely.
+	// depCols[j] keys column j's cache.
 	depCols [][]int
 	caches  []map[string]float64
-	// shared is the model-lifetime cache spanning shards and scoring calls
-	// (nil outside model scoring or when dedup is disabled). Checked after
-	// the lock-free local cache; only keys whose IDs are all fit-time
-	// stable participate.
+	// shared is the model-lifetime cache spanning shards and scoring calls.
+	// Checked after the lock-free local cache; only keys whose IDs are all
+	// fit-time stable participate.
 	shared *sharedScoreCache
 
 	// tile is the m x dim row feature tile, reused across rows; ptile is the
-	// compacted tile of one row's cache-miss columns. With dedup on both are
-	// allocated on the first cache miss, so a fully warm call allocates
-	// neither.
+	// compacted tile of one row's cache-miss columns. Both are allocated on
+	// the first cache miss, so a fully warm call allocates neither.
 	tile       []float64
 	ptile      []float64
 	pout       []float64 // PredictInto output for ptile
@@ -114,7 +116,7 @@ type shardScorer struct {
 }
 
 // newShardScorer builds a scorer over the shared extractor, fitted model,
-// and output matrices. depCols enables the dedup cache when non-nil.
+// and output matrices; depCols[j] is ext.DepCols(j).
 func newShardScorer(ext *feature.Extractor, mlp *nn.MLP, d *table.Dataset,
 	depCols [][]int, threshold float64, scores [][]float64, pred [][]bool,
 	shared *sharedScoreCache) *shardScorer {
@@ -124,22 +126,18 @@ func newShardScorer(ext *feature.Extractor, mlp *nn.MLP, d *table.Dataset,
 		ext: ext, mlp: mlp, d: d, m: m, dim: dim,
 		threshold: threshold, scores: scores, pred: pred,
 		depCols: depCols, shared: shared,
-		pout:   make([]float64, m),
-		missJ:  make([]int, 0, m),
-		keyOff: make([]int, m),
+		caches:     make([]map[string]float64, m),
+		pout:       make([]float64, m),
+		missJ:      make([]int, 0, m),
+		missStable: make([]bool, m),
+		keyOff:     make([]int, m),
 	}
-	if depCols == nil {
-		s.tile = make([]float64, m*dim)
-	} else {
-		s.caches = make([]map[string]float64, m)
-		keyCap := 0
-		for j := range s.caches {
-			s.caches[j] = make(map[string]float64)
-			keyCap += 4 * len(depCols[j])
-		}
-		s.keyBuf = make([]byte, 0, keyCap)
-		s.missStable = make([]bool, m)
+	keyCap := 0
+	for j := range s.caches {
+		s.caches[j] = make(map[string]float64)
+		keyCap += 4 * len(depCols[j])
 	}
+	s.keyBuf = make([]byte, 0, keyCap)
 	return s
 }
 
@@ -156,71 +154,66 @@ func (s *shardScorer) scoreRows(ctx context.Context, lo, hi int) {
 	}
 }
 
-// scoreRow scores all m cells of row i into the shared matrices. Steady
-// state (warm cache, or dedup off) allocates nothing; cache misses
-// allocate only their interned key strings and map growth.
+// scoreRow scores all m cells of row i into the shared matrices. A warm
+// row allocates nothing; cache misses allocate only their interned key
+// strings and map growth.
 func (s *shardScorer) scoreRow(i int) {
 	scoresRow := s.scores[i]
-	if s.depCols == nil {
-		s.ext.RowFeaturesInto(i, s.tile)
-		s.mlp.PredictInto(s.tile, s.m, scoresRow)
-	} else {
-		s.missJ = s.missJ[:0]
-		s.keyBuf = s.keyBuf[:0]
-		for j := 0; j < s.m; j++ {
-			start := len(s.keyBuf)
-			stable := s.shared != nil
-			for _, c := range s.depCols[j] {
-				id := s.d.ValueID(i, c)
-				if stable && id >= s.shared.stableIDs[c] {
-					stable = false // per-call ID: never shared-cacheable
-				}
-				s.keyBuf = append(s.keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	s.missJ = s.missJ[:0]
+	s.keyBuf = s.keyBuf[:0]
+	for j := 0; j < s.m; j++ {
+		start := len(s.keyBuf)
+		stable := true
+		for _, c := range s.depCols[j] {
+			id := s.d.ValueID(i, c)
+			if stable && id >= s.shared.stableIDs[c] {
+				stable = false // per-call ID: never shared-cacheable
 			}
-			key := s.keyBuf[start:]
-			// The conversion in the map index does not allocate (compiler
-			// optimizes map[string] lookups keyed by string([]byte)).
-			if v, ok := s.caches[j][string(key)]; ok {
+			s.keyBuf = append(s.keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+		}
+		key := s.keyBuf[start:]
+		// The conversion in the map index does not allocate (compiler
+		// optimizes map[string] lookups keyed by string([]byte)).
+		if v, ok := s.caches[j][string(key)]; ok {
+			scoresRow[j] = v
+			s.keyBuf = s.keyBuf[:start]
+			continue
+		}
+		if stable {
+			if v, ok := s.shared.load(j, key); ok {
 				scoresRow[j] = v
 				s.keyBuf = s.keyBuf[:start]
 				continue
 			}
-			if stable {
-				if v, ok := s.shared.load(j, key); ok {
-					scoresRow[j] = v
-					s.keyBuf = s.keyBuf[:start]
-					continue
-				}
-			}
-			s.keyOff[len(s.missJ)] = start
-			s.missStable[len(s.missJ)] = stable
-			s.missJ = append(s.missJ, j)
 		}
-		if len(s.missJ) > 0 {
-			if s.tile == nil {
-				s.tile = make([]float64, s.m*s.dim)
-				s.ptile = make([]float64, s.m*s.dim)
+		s.keyOff[len(s.missJ)] = start
+		s.missStable[len(s.missJ)] = stable
+		s.missJ = append(s.missJ, j)
+	}
+	if len(s.missJ) > 0 {
+		if s.tile == nil {
+			s.tile = make([]float64, s.m*s.dim)
+			s.ptile = make([]float64, s.m*s.dim)
+		}
+		// Featurize the whole row once (bases computed once, shared by the
+		// correlated-context blocks), compact the missing columns' vectors,
+		// and run one batched forward pass over them.
+		s.ext.RowFeaturesInto(i, s.tile)
+		for mi, j := range s.missJ {
+			copy(s.ptile[mi*s.dim:(mi+1)*s.dim], s.tile[j*s.dim:(j+1)*s.dim])
+		}
+		s.mlp.PredictInto(s.ptile, len(s.missJ), s.pout)
+		for mi, j := range s.missJ {
+			v := s.pout[mi]
+			scoresRow[j] = v
+			end := len(s.keyBuf)
+			if mi+1 < len(s.missJ) {
+				end = s.keyOff[mi+1]
 			}
-			// Featurize the whole row once (bases computed once, shared by
-			// the correlated-context blocks), compact the missing columns'
-			// vectors, and run one batched forward pass over them.
-			s.ext.RowFeaturesInto(i, s.tile)
-			for mi, j := range s.missJ {
-				copy(s.ptile[mi*s.dim:(mi+1)*s.dim], s.tile[j*s.dim:(j+1)*s.dim])
-			}
-			s.mlp.PredictInto(s.ptile, len(s.missJ), s.pout)
-			for mi, j := range s.missJ {
-				v := s.pout[mi]
-				scoresRow[j] = v
-				end := len(s.keyBuf)
-				if mi+1 < len(s.missJ) {
-					end = s.keyOff[mi+1]
-				}
-				key := s.keyBuf[s.keyOff[mi]:end]
-				s.caches[j][string(key)] = v
-				if s.missStable[mi] {
-					s.shared.store(j, key, v)
-				}
+			key := s.keyBuf[s.keyOff[mi]:end]
+			s.caches[j][string(key)] = v
+			if s.missStable[mi] {
+				s.shared.store(j, key, v)
 			}
 		}
 	}

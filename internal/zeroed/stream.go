@@ -306,8 +306,7 @@ func (ss *StreamScorer) AbortRefit() {
 // Refit trains a successor model on the accumulated stream. It runs from
 // the refit goroutine: the rows are taken from a snapshot of the
 // accumulator made under the scorer's lock (streaming appends keep going
-// while the fit runs) and cloned before fitting, because the fit pipeline
-// mutates its dataset in place during training-data synthesis.
+// while the fit runs), which FitOn only reads.
 //
 // The successor reuses the prior model's configuration and seed, and —
 // because the accumulator is seeded with the prior dictionaries — its
@@ -332,16 +331,15 @@ func (ss *StreamScorer) Refit(ctx context.Context, p *Pool) (*Model, error) {
 	if snap.NumRows() == 0 {
 		return nil, fmt.Errorf("zeroed: no accumulated rows to refit on")
 	}
-	ds := snap.Clone()
-	ds.Name = "refit"
-	m2, err := New(prior.cfg).FitOn(ctx, p, ds)
+	snap.Name = "refit"
+	m2, err := New(prior.cfg).FitOn(ctx, p, snap)
 	if err != nil {
 		return nil, fmt.Errorf("zeroed: refit failed: %w", err)
 	}
 	if m2.Degenerate() {
 		return nil, fmt.Errorf("zeroed: refit produced a degenerate model (accumulated stream is single-class); keeping the old model")
 	}
-	m2.SetLineage(Lineage{Version: version + 1, RefitRows: ds.NumRows()})
+	m2.SetLineage(Lineage{Version: version + 1, RefitRows: snap.NumRows()})
 	return m2, nil
 }
 

@@ -101,27 +101,17 @@ func (e *engine) attrTrainingData(j int, posOf map[int]int, arng *rand.Rand) ([]
 		}
 	}
 	// The verification and pass-rate passes below evaluate the same
-	// criteria against heavily duplicated cell values; by default they run
-	// through a per-value-ID verdict memo (criteria.SetMemo), whose cached
-	// booleans are exactly what EvalAt would recompute — aggregates are
-	// bit-identical with the memo on or off.
+	// criteria against heavily duplicated cell values, so they run through
+	// a per-value-ID verdict memo (criteria.SetMemo), whose cached booleans
+	// are exactly what EvalAt would recompute — aggregates are bit-identical
+	// to criteria.VerifySetAt and Set.PassRateAt.
 	var memo *criteria.SetMemo
 	if refined != nil {
-		if cfg.DisableFitDedup {
-			refined = criteria.VerifySetAt(refined, d, j, rightRows, 0.5)
-		} else {
-			memo = criteria.NewSetMemo(d, j, refined).Verify(rightRows, 0.5)
-			refined = memo.Set()
-		}
+		memo = criteria.NewSetMemo(d, j, refined).Verify(rightRows, 0.5)
+		refined = memo.Set()
 		// Update criteria features with the verified refined set.
 		e.ext.SetCriteria(j, refined)
 		e.critSets[j] = refined
-	}
-	passRate := func(row int) float64 {
-		if memo != nil {
-			return memo.PassRateAt(row)
-		}
-		return refined.PassRateAt(d, row, j)
 	}
 
 	// Lines 15-20: verify propagated-clean cells against the surviving
@@ -138,13 +128,13 @@ func (e *engine) attrTrainingData(j int, posOf map[int]int, arng *rand.Rand) ([]
 	for _, lc := range propagated {
 		if lc.isErr {
 			if refined != nil && len(refined.Criteria) > 0 &&
-				!directlyLabeled[lc.row] && passRate(lc.row) == 1 {
+				!directlyLabeled[lc.row] && memo.PassRateAt(lc.row) == 1 {
 				continue
 			}
 			training = append(training, lc)
 			continue
 		}
-		if refined == nil || passRate(lc.row) >= 0.5 {
+		if refined == nil || memo.PassRateAt(lc.row) >= 0.5 {
 			training = append(training, lc)
 		}
 	}

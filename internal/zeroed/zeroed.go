@@ -56,41 +56,13 @@ type Config struct {
 	// runtime.GOMAXPROCS(0); withDefaults normalizes it, so everything
 	// downstream can assume Workers >= 1. One bounded worker pool of this
 	// size is shared by every stage of a run (and by every run of a
-	// DetectBatch). Results are bit-identical regardless of worker count:
-	// every stochastic step uses a per-(attribute, phase) derived stream
-	// and writes disjoint output slots.
+	// DetectBatch). The scoring pass is cut into 4×Workers contiguous row
+	// shards (at most one per row). Results are bit-identical regardless
+	// of worker count: every stochastic step uses a per-(attribute, phase)
+	// derived stream, every unit writes disjoint output slots, and the
+	// scoring dedup caches (a shard's own and the model's warm cache) only
+	// replay the exact float64 the model would recompute.
 	Workers int
-	// Shards partitions the scoring pass (per-row feature extraction + MLP
-	// inference over every cell) into contiguous row shards that are
-	// scheduled as independent units on the shared pool, then merged into
-	// one verdict mask. Zero means auto (a few shards per worker). The
-	// fitted model is shared by all shards, so output is bit-identical for
-	// every shard count. Independent datasets share one worker budget
-	// through Detector.DetectBatch.
-	Shards int
-	// DisableScoreDedup turns off the scoring dedup cache. By default each
-	// scoring shard memoizes cell scores behind the cell's value-ID tuple
-	// over its feature dependency columns (feature.DepCols), so repeated
-	// (value, correlated-context) combinations — common after value
-	// interning — are featurized and scored once per shard. Cached scores
-	// are the exact float64 the model would recompute, so results are
-	// bit-identical with the cache on or off (pinned by
-	// TestScoreDedupEquivalence); the flag exists for benchmarking and as
-	// an escape hatch.
-	DisableScoreDedup bool
-	// DisableFitDedup turns off the fit-phase dedup caches. By default the
-	// fit stages memoize per value-ID wherever a computation is provably a
-	// function of the participating value IDs: criteria verdicts during
-	// verification and training-cell selection (keyed by the cell's own
-	// value ID, plus the FD determinant's ID for row-dependent criteria) and
-	// guideline-driven label judgements (keyed by the cell's own value ID
-	// plus its FD determinants' IDs). Batch-context labeling (the
-	// "w/o Guid." ablation) is inherently batch-dependent and is never
-	// cached. Cached entries are the exact values the stages would
-	// recompute, so fitting is bit-identical with the caches on or off
-	// (pinned by TestFitDedupEquivalence); the flag exists for benchmarking
-	// and as an escape hatch.
-	DisableFitDedup bool
 
 	// MaxPropagatedPerAttr caps in-cluster label propagation per attribute
 	// to bound training-set size on large datasets (default 2000).
@@ -165,21 +137,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shardCount resolves the scoring-shard count for an n-row dataset: the
-// configured Shards, defaulting to a few shards per worker so the pool can
-// balance uneven shard costs, and never more than the row count.
+// shardCount resolves the scoring-shard count for an n-row dataset: a few
+// shards per worker so the pool can balance uneven shard costs, and never
+// more than the row count.
 func (c Config) shardCount(n int) int {
-	s := c.Shards
-	if s <= 0 {
-		s = 4 * c.Workers
-	}
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(1, min(4*c.Workers, n))
 }
 
 // Result is the outcome of one detection run.

@@ -209,17 +209,38 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestDetectDoesNotMutateInput: fitting and detecting leave the caller's
+// dataset untouched — its cells and its dictionaries, into which synthetic
+// errors must not be interned — so a second fit over the same dataset
+// builds its frequency tables over the same dictionaries as the first.
 func TestDetectDoesNotMutateInput(t *testing.T) {
 	b := datasets.Hospital(150, 5)
 	before := b.Dirty.Clone()
+	var fits [2]*Model
+	for k := range fits {
+		m, err := New(fastConfig()).FitOn(context.Background(), nil, b.Dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fits[k] = m
+	}
 	if _, err := New(fastConfig()).DetectOn(context.Background(), nil, b.Dirty); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < before.NumRows(); i++ {
-		for j := 0; j < before.NumCols(); j++ {
+	for j := 0; j < before.NumCols(); j++ {
+		if got, want := b.Dirty.DictSize(j), before.DictSize(j); got != want {
+			t.Fatalf("column %d dictionary grew from %d to %d values", j, want, got)
+		}
+		for i := 0; i < before.NumRows(); i++ {
 			if b.Dirty.Value(i, j) != before.Value(i, j) {
 				t.Fatalf("DetectOn mutated the input at (%d,%d)", i, j)
 			}
+		}
+	}
+	first, second := fits[0].ext.Snapshot().Freq.Counts, fits[1].ext.Snapshot().Freq.Counts
+	for j := range first {
+		if len(first[j]) != len(second[j]) {
+			t.Fatalf("column %d: second fit counts %d values, first %d", j, len(second[j]), len(first[j]))
 		}
 	}
 }
