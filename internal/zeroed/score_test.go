@@ -118,12 +118,14 @@ func TestFusedScoringZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode bypasses sync.Pool caching; alloc counts are meaningless")
 	}
-	sc, n := scorerFixture(t)
-	// Warm pass: fills the dedup cache (and the nn scratch pool).
-	sc.scoreRows(context.Background(), 0, n)
-	if allocs := testing.AllocsPerRun(50, func() { sc.scoreRows(context.Background(), 0, n) }); allocs != 0 {
-		t.Errorf("steady-state scoring allocates %.2f times per %d-row pass, want 0", allocs, n)
-	}
+	t.Run("dedup-warm", func(t *testing.T) {
+		sc, n := scorerFixture(t)
+		// Warm pass: fills the dedup cache (and the nn scratch pool).
+		sc.scoreRows(context.Background(), 0, n)
+		if allocs := testing.AllocsPerRun(50, func() { sc.scoreRows(context.Background(), 0, n) }); allocs != 0 {
+			t.Errorf("steady-state scoring allocates %.2f times per %d-row pass, want 0", allocs, n)
+		}
+	})
 }
 
 // TestShardScorerDedupMatchesDirect compares every cached score against
