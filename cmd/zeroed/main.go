@@ -88,6 +88,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/repair"
+	"repro/internal/serve/verdict"
 	"repro/internal/table"
 	"repro/internal/zeroed"
 )
@@ -574,20 +575,19 @@ func runStream(ctx context.Context, o runOpts) error {
 			len(mapping.Dropped), strings.Join(mapping.Dropped, ", "))
 	}
 
-	enc := json.NewEncoder(os.Stdout)
-	type verdict struct {
-		Row     int       `json:"row"`
-		Version int       `json:"version"`
-		Pred    []bool    `json:"pred"`
-		Scores  []float64 `json:"scores"`
-	}
+	// A chunk's verdict lines are encoded into one buffer and written to
+	// stdout in one write. The lines are the served stream's, except that
+	// every line carries its scores field.
+	var buf []byte
 	refits := 0
 	rows, st, err := ss.ScoreSource(ctx, nil, src, o.streamChunk,
 		func(start int, res *zeroed.Result, cst zeroed.ChunkStatus) error {
-			for i := range res.Pred {
-				if err := enc.Encode(verdict{Row: start + i, Version: cst.Version, Pred: res.Pred[i], Scores: res.Scores[i]}); err != nil {
-					return err
-				}
+			var err error
+			if buf, err = verdict.AppendLines(buf[:0], start, cst.Version, res.Pred, res.Scores, true); err != nil {
+				return err
+			}
+			if _, err = os.Stdout.Write(buf); err != nil {
+				return err
 			}
 			if cst.ShouldRefit && ss.BeginRefit() {
 				fmt.Fprintf(os.Stderr, "zeroed: drift tripped at row %d (unseen %.3f, shift %.3f); refitting on %d accumulated rows\n",

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -8,7 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/llm"
+	"repro/internal/model"
+	"repro/internal/serve/verdict"
+	"repro/internal/table"
+	"repro/internal/zeroed"
 )
 
 // opts builds a runOpts with the flag defaults, then applies mod.
@@ -360,5 +366,97 @@ func TestRunScoreOnlyRepair(t *testing.T) {
 			c.Strategy == nil || *c.Strategy == "" {
 			t.Fatalf("change-log line %d missing fields: %s", i, line)
 		}
+	}
+}
+
+// cliVerdict is the line zeroed -stream printed through json.Encoder before
+// the verdict lines had one encoder: unlike the served line, its scores
+// field has no omitempty.
+type cliVerdict struct {
+	Row     int       `json:"row"`
+	Version int       `json:"version"`
+	Pred    []bool    `json:"pred"`
+	Scores  []float64 `json:"scores"`
+}
+
+// TestRunStreamStdoutBytes pins zeroed -stream's stdout to the json.Encoder
+// rendering of cliVerdict, line for line, on rows that mix seen and unseen
+// values, and pins the encoder's no-scores rows to the same rendering.
+func TestRunStreamStdoutBytes(t *testing.T) {
+	dir := t.TempDir()
+	artifact := filepath.Join(dir, "hospital.zedm")
+	if err := run(context.Background(), opts(func(o *runOpts) {
+		o.dataset, o.size, o.labelRate, o.seed = "Hospital", 120, 0.08, 5
+		o.modelOut = artifact
+	})); err != nil {
+		t.Fatal(err)
+	}
+
+	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = stdout
+	err = run(context.Background(), opts(func(o *runOpts) {
+		o.stream, o.modelIn, o.dataset, o.size, o.seed, o.streamChunk = true, artifact, "Hospital", 90, 9, 32
+	}))
+	os.Stdout = saved
+	if cerr := stdout.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := model.LoadFile(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := zeroed.NewStreamScorer(m, zeroed.StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := datasets.Hospital(90, 9).Dirty.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	src, err := table.NewSource(table.FormatCSV, &csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	if _, _, err := ss.ScoreSource(context.Background(), nil, src, 32,
+		func(start int, res *zeroed.Result, cst zeroed.ChunkStatus) error {
+			for i := range res.Pred {
+				if err := enc.Encode(cliVerdict{start + i, cst.Version, res.Pred[i], res.Scores[i]}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("zeroed -stream printed %d bytes, json.Encoder renders %d; want them equal byte for byte", len(got), want.Len())
+	}
+
+	pred := [][]bool{{true, false}, {}, nil, {false}}
+	scores := [][]float64{{0.5, 1e-7}, {}, nil, nil}
+	var wantRows bytes.Buffer
+	enc = json.NewEncoder(&wantRows)
+	for i := range pred {
+		if err := enc.Encode(cliVerdict{7 + i, 2, pred[i], scores[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotRows, err := verdict.AppendLines(nil, 7, 2, pred, scores, true)
+	if err != nil || !bytes.Equal(gotRows, wantRows.Bytes()) {
+		t.Fatalf("no-scores rows render\n%s(err %v), want\n%s", gotRows, err, wantRows.Bytes())
 	}
 }

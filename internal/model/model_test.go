@@ -246,3 +246,27 @@ func TestLoadFileMissing(t *testing.T) {
 		t.Error("directory accepted")
 	}
 }
+
+// TestEncodeDecodeFixedPoint: re-encoding a loaded model writes the bytes
+// it was loaded from, so re-saving an artifact never grows it. The
+// frequency snapshot keeps its scan-time count lengths through Decode even
+// though the loaded dictionaries also hold the synthetic-error values
+// interned after counting.
+func TestEncodeDecodeFixedPoint(t *testing.T) {
+	m, _ := fitSmall(t)
+	data, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Encode(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("Encode(Decode(Encode(m))) is %d bytes, Encode(m) %d bytes; want them equal byte for byte", len(again), len(data))
+	}
+}

@@ -619,10 +619,7 @@ func (s *Server) handleModelScore(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if wantTrace(r) {
-		out.Trace = traceTree(r)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeScoreResult(w, r, &out)
 }
 
 // scoreModel runs one scoring pass on the shared pool, converting stray

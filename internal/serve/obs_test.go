@@ -336,9 +336,11 @@ func TestReadyz(t *testing.T) {
 	}
 }
 
-// TestTraceQueryEmbedsSpans pins ?trace=1 on a synchronous endpoint: the
-// fit response gains a trace field whose tree contains the ingest and fit
-// pipeline spans, and the same request without ?trace=1 has none.
+// TestTraceQueryEmbedsSpans pins ?trace=1 on the synchronous endpoints:
+// the fit response gains a trace field whose tree contains the ingest and
+// fit pipeline spans, the score response one with ingest, score and the
+// respond span that times its own encoding, and the same fit request
+// without ?trace=1 has none.
 func TestTraceQueryEmbedsSpans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fits a model over HTTP")
@@ -357,6 +359,17 @@ func TestTraceQueryEmbedsSpans(t *testing.T) {
 	for _, name := range []string{"ingest", "fit", "fit.train", "encode", "persist"} {
 		if traced.Trace.Find(name) == nil {
 			t.Errorf("span %q missing from ?trace=1 fit response", name)
+		}
+	}
+
+	status, _, body := postBody(t, ts.URL+"/v1/models/"+traced.ID+"/score?trace=1", "text/csv", csv)
+	var scored ScoreResult
+	if err := json.Unmarshal(body, &scored); status != http.StatusOK || err != nil {
+		t.Fatalf("?trace=1 score: status %d, %v", status, err)
+	}
+	for _, name := range []string{"ingest", "score", "respond"} {
+		if scored.Trace.Find(name) == nil {
+			t.Errorf("span %q missing from ?trace=1 score response", name)
 		}
 	}
 

@@ -13,6 +13,8 @@ import (
 	"sync"
 
 	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/serve/verdict"
 	"repro/internal/stats"
 	"repro/internal/zeroed"
 )
@@ -72,9 +74,11 @@ func (s *Server) dropScorer(id string) {
 	s.streams.mu.Unlock()
 }
 
-// streamLine is one NDJSON verdict frame: the verdict for input row Row,
-// scored by model version Version. Scores round-trip through JSON
-// bit-exactly, so equal rows always render equal bytes.
+// streamLine is the schema of one NDJSON verdict frame: the verdict for
+// input row Row, scored by model version Version. verdict.AppendLines
+// renders it without reflection, byte for byte as json.Encoder would.
+// Scores round-trip through JSON bit-exactly, so equal rows always render
+// equal bytes.
 type streamLine struct {
 	Row     int       `json:"row"`
 	Version int       `json:"version"`
@@ -93,10 +97,11 @@ type streamSummary struct {
 }
 
 // handleModelStream scores a chunked CSV or NDJSON body row-by-row against
-// a registered model, writing one JSON line per row as chunks arrive. The
-// body decodes through the shared table.RowSource layer: a CSV header may
-// be a permutation or superset of the model's schema (table.MapSource
-// projects it), NDJSON lines bind directly to the schema.
+// a registered model, writing one JSON line per row as chunks arrive; a
+// chunk's lines are written and flushed together. The body decodes through
+// the shared table.RowSource layer: a CSV header may be a permutation or
+// superset of the model's schema (table.MapSource projects it), NDJSON
+// lines bind directly to the schema.
 func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e, ok := s.reg.acquire(id)
@@ -147,6 +152,8 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 
 	rows, refits := 0, 0
 	var st zeroed.ChunkStatus
+	buf := getReplyBuf()
+	defer func() { putReplyBuf(buf) }()
 	for {
 		chunk, rerr := src.Next(chunkRows)
 		if len(chunk) > 0 {
@@ -167,18 +174,25 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			st = cst
-			for i := range res.Pred {
-				line := streamLine{Row: rows + i, Version: cst.Version, Pred: res.Pred[i]}
-				if withScores {
-					line.Scores = res.Scores[i]
-				}
-				if err := enc.Encode(line); err != nil {
-					return // client gone
-				}
+			_, span := obs.Start(r.Context(), "respond")
+			var scores [][]float64
+			if withScores {
+				scores = res.Scores
+			}
+			if buf, err = verdict.AppendLines(buf[:0], rows, cst.Version, res.Pred, scores, false); err != nil {
+				span.End()
+				_ = enc.Encode(map[string]apiError{"error": apiErrorFor(r, "internal", "encode verdicts: "+err.Error())})
+				return
+			}
+			_, werr := w.Write(buf)
+			_ = rc.Flush()
+			span.SetInt("bytes", int64(len(buf)))
+			span.End()
+			if werr != nil {
+				return // client gone
 			}
 			rows += len(chunk)
 			s.met.add(streamRows, int64(len(chunk)))
-			_ = rc.Flush()
 			if cst.ShouldRefit && ss.BeginRefit() {
 				refits++
 				s.met.add(refitsStarted, 1)

@@ -80,10 +80,11 @@ func (cf *ColumnFrequencies) Snapshot() *FreqSnapshot {
 // snapshot captured against the same (or an append-only extension of the
 // same) per-column dictionaries. The pattern tables are rebuilt from d's
 // dictionaries in ID order — the same assignment order the original scan
-// used — and count vectors are zero-padded up to the current dictionary
-// sizes, so values interned after the original scan report zero frequency,
-// exactly as they do against the live table. Shape mismatches (a snapshot
-// that cannot have come from these dictionaries) are errors.
+// used. Count vectors keep the snapshot's lengths: value and pattern IDs
+// past their end were interned after the original scan and read as zero
+// frequency, exactly as they do against the live table, and Snapshot of the
+// result gives back the snapshot it was built from. Shape mismatches (a
+// snapshot that cannot have come from these dictionaries) are errors.
 func FreqFromSnapshot(s *FreqSnapshot, d *table.Dataset) (*ColumnFrequencies, error) {
 	if s == nil {
 		return nil, fmt.Errorf("stats: nil frequency snapshot")
@@ -116,8 +117,7 @@ func FreqFromSnapshot(s *FreqSnapshot, d *table.Dataset) (*ColumnFrequencies, er
 		if len(s.Counts[j]) > len(dict) {
 			return nil, fmt.Errorf("stats: snapshot counts cover %d values of column %d, dictionary has %d", len(s.Counts[j]), j, len(dict))
 		}
-		cf.counts[j] = make([]int, len(dict))
-		copy(cf.counts[j], s.Counts[j])
+		cf.counts[j] = append([]int(nil), s.Counts[j]...)
 		for lvl := 0; lvl < 3; lvl++ {
 			cf.patOfID[lvl][j] = make([]uint32, len(dict))
 			cf.patIndex[lvl][j] = make(map[string]uint32)
@@ -135,8 +135,7 @@ func FreqFromSnapshot(s *FreqSnapshot, d *table.Dataset) (*ColumnFrequencies, er
 			if len(s.PatCounts[lvl][j]) > nPat {
 				return nil, fmt.Errorf("stats: snapshot has %d L%d patterns for column %d, dictionary yields %d", len(s.PatCounts[lvl][j]), lvl+1, j, nPat)
 			}
-			cf.patCounts[lvl][j] = make([]int, nPat)
-			copy(cf.patCounts[lvl][j], s.PatCounts[lvl][j])
+			cf.patCounts[lvl][j] = append([]int(nil), s.PatCounts[lvl][j]...)
 		}
 	}
 	for _, co := range s.CoOccur {

@@ -128,21 +128,28 @@ func (cf *ColumnFrequencies) VicinityFrequencyID(j, q int, idj, idq uint32) floa
 
 // PatternFrequencyID returns the fraction of values in attribute j whose
 // generalized pattern at the given level matches that of value ID id.
+// Patterns first seen after the scan have zero frequency.
 func (cf *ColumnFrequencies) PatternFrequencyID(j int, id uint32, level text.PatternLevel) float64 {
 	if cf.n == 0 {
 		return 0
 	}
 	lvl := int(level) - 1
 	ofID := cf.patOfID[lvl][j]
+	var pid uint32
 	if int(id) < len(ofID) {
-		return float64(cf.patCounts[lvl][j][ofID[id]]) / float64(cf.n)
+		pid = ofID[id]
+	} else {
+		// Value interned after the scan: resolve its pattern by string.
+		var ok bool
+		if pid, ok = cf.patIndex[lvl][j][text.Generalize(cf.d.DictValue(j, id), level)]; !ok {
+			return 0
+		}
 	}
-	// Value interned after the scan: resolve its pattern by string.
-	pid, ok := cf.patIndex[lvl][j][text.Generalize(cf.d.DictValue(j, id), level)]
-	if !ok {
+	counts := cf.patCounts[lvl][j]
+	if int(pid) >= len(counts) {
 		return 0
 	}
-	return float64(cf.patCounts[lvl][j][pid]) / float64(cf.n)
+	return float64(counts[pid]) / float64(cf.n)
 }
 
 // CountsByID returns per-value-ID occurrence counts for column j of d,

@@ -3,9 +3,11 @@ package stats
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/table"
+	"repro/internal/text"
 )
 
 // TestFreqFromSnapshotZeroPadding is the property test behind the drift
@@ -13,7 +15,9 @@ import (
 // dictionaries grew after the fit (values interned by post-fit appends)
 // must report the exact fit-time frequency for every fit-time value ID and
 // exactly zero for every ID interned after the snapshot — for any random
-// mix of seen and unseen appends.
+// mix of seen and unseen appends. Pattern frequencies agree with the live
+// table's for every ID, and the restored table snapshots back to the
+// snapshot it came from, so a re-saved model does not grow.
 func TestFreqFromSnapshotZeroPadding(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
@@ -68,6 +72,7 @@ func TestFreqFromSnapshotZeroPadding(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		live := cf.Rebind(grown)
 		for j := 0; j < grown.NumCols(); j++ {
 			if grown.DictSize(j) < fitSizes[j] {
 				t.Fatalf("trial %d: dictionary shrank", trial)
@@ -85,6 +90,17 @@ func TestFreqFromSnapshotZeroPadding(t *testing.T) {
 					t.Fatalf("trial %d: col %d post-snapshot id %d frequency = %g, want 0", trial, j, id, got)
 				}
 			}
+			for id := 0; id < grown.DictSize(j); id++ {
+				for _, lvl := range []text.PatternLevel{text.L1, text.L2, text.L3} {
+					got := restored.PatternFrequencyID(j, uint32(id), lvl)
+					if want := live.PatternFrequencyID(j, uint32(id), lvl); got != want {
+						t.Fatalf("trial %d: col %d id %d L%d pattern frequency = %g, want %g", trial, j, id, lvl, got, want)
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(restored.Snapshot(), snap) {
+			t.Fatalf("trial %d: the restored table does not snapshot back to its snapshot", trial)
 		}
 	}
 }
