@@ -576,14 +576,13 @@ func runStream(ctx context.Context, o runOpts) error {
 	}
 
 	// A chunk's verdict lines are encoded into one buffer and written to
-	// stdout in one write. The lines are the served stream's, except that
-	// every line carries its scores field.
+	// stdout in one write, in the served stream's line format.
 	var buf []byte
 	refits := 0
 	rows, st, err := ss.ScoreSource(ctx, nil, src, o.streamChunk,
 		func(start int, res *zeroed.Result, cst zeroed.ChunkStatus) error {
 			var err error
-			if buf, err = verdict.AppendLines(buf[:0], start, cst.Version, res.Pred, res.Scores, true); err != nil {
+			if buf, err = verdict.AppendLines(buf[:0], start, cst.Version, res.Pred, res.Scores); err != nil {
 				return err
 			}
 			if _, err = os.Stdout.Write(buf); err != nil {

@@ -191,10 +191,11 @@ func wantTrace(r *http.Request) bool {
 	return r.URL.Query().Get("trace") == "1"
 }
 
-// traceTree snapshots the request's trace for a ?trace=1 envelope. The
-// request's own spans are all ended by the time the handler encodes its
-// response; only the root is still open, reported at its elapsed-so-far
-// duration.
+// traceTree snapshots the request's trace for a ?trace=1 envelope. Open
+// spans are reported at their elapsed-so-far duration: the root always,
+// and on the score route the respond span, which is still encoding the
+// reply and so has no bytes attr yet. Every other span of the request has
+// ended by then.
 func traceTree(r *http.Request) *obs.Node {
 	return obs.TraceFromContext(r.Context()).Tree()
 }

@@ -179,7 +179,7 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 			if withScores {
 				scores = res.Scores
 			}
-			if buf, err = verdict.AppendLines(buf[:0], rows, cst.Version, res.Pred, scores, false); err != nil {
+			if buf, err = verdict.AppendLines(buf[:0], rows, cst.Version, res.Pred, scores); err != nil {
 				span.End()
 				_ = enc.Encode(map[string]apiError{"error": apiErrorFor(r, "internal", "encode verdicts: "+err.Error())})
 				return

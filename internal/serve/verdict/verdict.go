@@ -18,11 +18,9 @@ import (
 //	{"row":0,"version":1,"pred":[false,true],"scores":[0.0003,0.97]}
 //
 // Row i carries scores[i]; a nil scores, or an empty row of it, leaves the
-// field out, as omitempty does. keepEmptyScores writes such a row's field
-// as null or [] instead, the form zeroed -stream prints. On error (a NaN or
-// ±Inf score, failing where encoding/json fails) b comes back at its
-// original length.
-func AppendLines(b []byte, start, version int, pred [][]bool, scores [][]float64, keepEmptyScores bool) ([]byte, error) {
+// field out, as omitempty does. On error (a NaN or ±Inf score, failing
+// where encoding/json fails) b comes back at its original length.
+func AppendLines(b []byte, start, version int, pred [][]bool, scores [][]float64) ([]byte, error) {
 	n0 := len(b)
 	for i, row := range pred {
 		b = append(b, `{"row":`...)
@@ -35,7 +33,7 @@ func AppendLines(b []byte, start, version int, pred [][]bool, scores [][]float64
 		if scores != nil {
 			sc = scores[i]
 		}
-		if len(sc) > 0 || keepEmptyScores {
+		if len(sc) > 0 {
 			b = append(b, `,"scores":`...)
 			var err error
 			if b, err = AppendFloats(b, sc); err != nil {

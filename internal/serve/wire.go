@@ -18,9 +18,10 @@ import (
 // TestVerdictWireMatchesEncodingJSON and FuzzVerdictWire). String fields
 // and the trace still go through encoding/json, so escaping cannot drift.
 
-// replyBufs recycles verdict encode buffers across requests. A buffer
-// larger than maxPooledReply is left to the GC, so one huge reply does not
-// stay pinned.
+// replyBufs recycles verdict encode buffers across requests, so a score
+// reply or a stream's first chunk does not grow a fresh buffer from empty.
+// A buffer larger than maxPooledReply is left to the GC, so one huge reply
+// does not stay pinned.
 var replyBufs sync.Pool
 
 const maxPooledReply = 1 << 20
@@ -40,9 +41,10 @@ func putReplyBuf(b []byte) {
 
 // writeScoreResult writes out as the score route's 200 reply in one Write,
 // under a respond span. A ?trace=1 tree is snapshotted once the verdicts
-// are encoded, so its respond span times that encoding; the tree rides in
-// the trace field, which encoding/json renders last. A score that cannot be
-// encoded (NaN or ±Inf) is a typed 500.
+// are encoded, so its still-open respond span times that encoding and has
+// no bytes attr; the tree rides in the trace field, which encoding/json
+// renders last. A score that cannot be encoded (NaN or ±Inf) is a typed
+// 500.
 func writeScoreResult(w http.ResponseWriter, r *http.Request, out *ScoreResult) {
 	_, span := obs.Start(r.Context(), "respond")
 	defer span.End()

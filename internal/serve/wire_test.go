@@ -65,7 +65,7 @@ func checkStreamWire(t *testing.T, name string, start, version int, pred [][]boo
 		want = append(want, line...)
 	}
 	prefix := []byte("kept;")
-	got, gerr := verdict.AppendLines(append([]byte(nil), prefix...), start, version, pred, scores, false)
+	got, gerr := verdict.AppendLines(append([]byte(nil), prefix...), start, version, pred, scores)
 	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
 		t.Fatalf("%s: stream error %v, encoding/json %v", name, gerr, werr)
 	}
@@ -286,7 +286,7 @@ func BenchmarkWriteStreamChunk(b *testing.B) {
 		var buf []byte
 		for i := 0; i < b.N; i++ {
 			var err error
-			if buf, err = verdict.AppendLines(buf[:0], 0, 1, pred, scores, false); err != nil {
+			if buf, err = verdict.AppendLines(buf[:0], 0, 1, pred, scores); err != nil {
 				b.Fatal(err)
 			}
 		}
