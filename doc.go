@@ -20,7 +20,9 @@
 // expensive induction/labeling/training phase, returning a reusable Model;
 // ScoreOn/ScoreRowsOn: the cheap featurize-and-infer phase, with
 // DetectOn ≡ FitOn+ScoreOn bit-for-bit; one entry point per operation, each
-// taking a context and a shared worker Pool, nil for a private one) and
+// taking a context and a shared worker Pool, nil for a private one; a
+// dataset loaded into Model.Bind is interned once, straight into the
+// model's dictionaries, and scored without a second pass) and
 // internal/model (versioned, checksummed binary artifacts whose
 // save→load→score round trip is bit-identical). Every path reachable from
 // untrusted input — CSV parsing, schema arity, degenerate dataset

@@ -70,12 +70,12 @@ func (b *Nadeef) Detect(d *table.Dataset) ([][]bool, error) {
 	// compared by value ID.
 	for _, p := range b.FDPairs {
 		det, dep := p[0], p[1]
-		wantID := stats.GroupFD(d, det, nil).Majority(dep).Want
+		groups := stats.GroupFD(d, det, nil)
+		wantID := groups.Majority(dep).Want
 		depNullish := stats.NullishByID(d, dep)
-		detIDs, depIDs := d.ColumnIDs(det), d.ColumnIDs(dep)
-		for i := range detIDs {
-			w := wantID[detIDs[i]]
-			if w >= 0 && uint32(w) != depIDs[i] && !depNullish[depIDs[i]] {
+		for i, id := range d.ColumnIDs(dep) {
+			k := groups.Group(i)
+			if k >= 0 && uint32(wantID[k]) != id && !depNullish[id] {
 				// NADEEF marks every cell participating in the violation;
 				// it cannot localize which side is wrong, which is exactly
 				// why the paper finds rule-based precision limited.

@@ -229,11 +229,12 @@ func strategyFeatures(d *table.Dataset) [][][]float64 {
 	}
 
 	// Mined FDs for the rule-violation strategy, as the majority dependent
-	// value ID per determinant value ID (negative: no evidence). One
-	// grouping per determinant serves every dependent.
+	// value ID per determinant group. One grouping per determinant serves
+	// every dependent.
 	type fdRule struct {
-		det, dep int
-		wantID   []int32
+		groups *stats.FDGroups
+		dep    int
+		wantID []int32
 	}
 	var fds []fdRule
 	for det := 0; det < m; det++ {
@@ -246,7 +247,7 @@ func strategyFeatures(d *table.Dataset) [][][]float64 {
 				continue
 			}
 			if maj := groups.Majority(dep); maj.Support >= 0.95 && maj.Groups >= 2 {
-				fds = append(fds, fdRule{det, dep, slices.Clone(maj.Want)})
+				fds = append(fds, fdRule{groups, dep, slices.Clone(maj.Want)})
 			}
 		}
 	}
@@ -263,8 +264,7 @@ func strategyFeatures(d *table.Dataset) [][][]float64 {
 				if fd.dep != j {
 					continue
 				}
-				w := fd.wantID[d.ValueID(i, fd.det)]
-				if w >= 0 && uint32(w) != id {
+				if k := fd.groups.Group(i); k >= 0 && uint32(fd.wantID[k]) != id {
 					f[numStrategies-1] = 1
 					break
 				}

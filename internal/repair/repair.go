@@ -162,24 +162,20 @@ func (r *Repairer) Propose(d *table.Dataset, mask [][]bool) []Fix {
 	return fixes
 }
 
-// fdRule is one mined dependency det -> dep, its replacement values indexed
-// by the determinant's value ID in the dirty dataset.
+// fdRule is one mined dependency det -> dep: want[k] replaces dep on the
+// rows of determinant group k when has[k] marks it non-empty.
 type fdRule struct {
 	det, dep int
-	want     []string // want[id] replaces dep when det holds value ID id
-	has      []bool   // has[id] marks a usable (non-empty) replacement
+	groups   *stats.FDGroups
+	want     []string
+	has      []bool
 }
 
 func newFDRule(groups *stats.FDGroups, det, dep int, maj stats.FDMajority) fdRule {
-	n := len(maj.Want)
-	rule := fdRule{det: det, dep: dep, want: make([]string, n), has: make([]bool, n)}
-	for id, w := range maj.Want {
-		if w < 0 {
-			continue
-		}
+	rule := fdRule{det: det, dep: dep, groups: groups, want: make([]string, maj.Groups), has: make([]bool, maj.Groups)}
+	for k, w := range maj.Want {
 		if v := groups.DepValue(dep, w); v != "" {
-			rule.want[id] = v
-			rule.has[id] = true
+			rule.want[k], rule.has[k] = v, true
 		}
 	}
 	return rule
@@ -190,13 +186,13 @@ func (r *Repairer) fixCell(d *table.Dataset, i, j int, old string, ev *columnEvi
 	// 1. Dependency-implied value: the strongest evidence — an unflagged
 	// determinant value whose group has a dominant dependent value. This is
 	// the one per-cell lookup (the determinant varies by row); it costs one
-	// value-ID index per rule.
+	// row-to-group index per rule.
 	for _, fd := range fds {
 		if fd.dep != j || mask[i][fd.det] {
 			continue
 		}
-		if id := d.ValueID(i, fd.det); fd.has[id] {
-			return fd.want[id], StrategyFD
+		if k := fd.groups.Group(i); k >= 0 && fd.has[k] {
+			return fd.want[k], StrategyFD
 		}
 	}
 	// The remaining strategies depend only on (column, old value): resolve
@@ -260,25 +256,25 @@ func (r *Repairer) Apply(d *table.Dataset, mask [][]bool) (*table.Dataset, []Fix
 }
 
 // mineColumn builds repair evidence for one attribute from unflagged cells.
-// It scans the column's value IDs once, then does all string work — null
-// detection, numeric parsing, frequency ranking — per distinct dictionary
-// value, weighted by its clean occurrence count.
+// It counts the column's unflagged value IDs once (stats.PresentIDs), then
+// does all string work — null detection, numeric parsing, frequency
+// ranking — per distinct value present, in order of first appearance,
+// weighted by its clean occurrence count. Only the IDs present are
+// visited, so a Derive'd dataset costs O(rows) however large its
+// dictionary is, and it visits the values in the order a fresh load of the
+// same rows does.
 func mineColumn(d *table.Dataset, mask [][]bool, j int, cfg Config) columnEvidence {
 	var ev columnEvidence
-	idCounts := make([]int, d.DictSize(j))
-	for i, id := range d.ColumnIDs(j) {
-		if mask[i][j] {
-			continue
-		}
-		idCounts[id]++
+	ids, counts := stats.PresentIDs(d, j, mask)
+	type idCount struct {
+		id uint32
+		c  int
 	}
 	numericTotal, modeCount := 0, 0
 	var nums []float64
-	var frequent []uint32
-	for id, c := range idCounts {
-		if c == 0 {
-			continue
-		}
+	var frequent []idCount
+	for k, id := range ids {
+		c := int(counts[k])
 		v := d.DictValue(j, uint32(id))
 		if text.IsNullLike(v) {
 			continue
@@ -286,14 +282,14 @@ func mineColumn(d *table.Dataset, mask [][]bool, j int, cfg Config) columnEviden
 		ev.distinct++ // dictionary values are distinct; no accumulation
 		ev.totalClean += c
 		if c >= cfg.MinFrequent {
-			frequent = append(frequent, uint32(id))
+			frequent = append(frequent, idCount{uint32(id), c})
 		}
 		if c > modeCount || (c == modeCount && v < ev.mode) {
 			ev.mode, modeCount = v, c
 		}
 		if f, ok := text.ParseFloat(v); ok {
 			numericTotal += c
-			for k := 0; k < c; k++ {
+			for range c {
 				nums = append(nums, f)
 			}
 		}
@@ -302,18 +298,17 @@ func mineColumn(d *table.Dataset, mask [][]bool, j int, cfg Config) columnEviden
 		return ev
 	}
 	sort.Slice(frequent, func(a, b int) bool {
-		ca, cb := idCounts[frequent[a]], idCounts[frequent[b]]
-		if ca != cb {
-			return ca > cb
+		if frequent[a].c != frequent[b].c {
+			return frequent[a].c > frequent[b].c
 		}
-		return d.DictValue(j, frequent[a]) < d.DictValue(j, frequent[b])
+		return d.DictValue(j, frequent[a].id) < d.DictValue(j, frequent[b].id)
 	})
 	if len(frequent) > 200 {
 		frequent = frequent[:200]
 	}
 	ev.frequent = make([]frequentValue, len(frequent))
-	for k, id := range frequent {
-		v := d.DictValue(j, id)
+	for k, f := range frequent {
+		v := d.DictValue(j, f.id)
 		lower := strings.ToLower(v)
 		ev.frequent[k] = frequentValue{val: v, lower: lower, runes: utf8.RuneCountInString(lower)}
 	}

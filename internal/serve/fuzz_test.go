@@ -32,7 +32,10 @@ func FuzzDetect(f *testing.F) {
 		if err != nil {
 			return // rejected at the boundary: exactly the contract
 		}
-		ds, err := ingestSource("fuzz", src, ingestLimits{maxRows: 40, maxCols: 6})
+		if checkWidth(src, 6) != nil {
+			return
+		}
+		ds, err := ingestSource(table.NewStream("fuzz", src), 40)
 		if err != nil {
 			return
 		}

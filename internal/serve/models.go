@@ -577,7 +577,7 @@ func (s *Server) handleModelScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	ds, mapping, err := s.ingestUpload("score", r, body, e.m.Attrs())
+	ds, mapping, err := s.ingestUpload("score", r, body, e.m.Bind())
 	if err != nil {
 		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
 		return

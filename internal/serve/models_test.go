@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"os"
@@ -67,7 +69,7 @@ func TestModelFitScoreMatchesDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := ingestSource("hosp", src, ingestLimits{})
+	ds, err := ingestSource(table.NewStream("hosp", src), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,4 +238,57 @@ func TestModelRegistryBounds(t *testing.T) {
 	}
 	postModelCSV(t, ts.URL+"/v1/models/"+st.ID+"/score", []byte("\x00\xff"), http.StatusBadRequest, nil)
 	postModelCSV(t, ts.URL+"/v1/models?seed=abc", csv, http.StatusBadRequest, nil)
+}
+
+// TestUploadHeaderCountsAgainstMaxCols: the column cap counts the upload's
+// raw header on the score, repair and stream routes, before the schema
+// mapping drops extra columns. A mapped body as wide as the cap is served;
+// one column wider gets the typed 400 bad_upload a fit gets.
+func TestUploadHeaderCountsAgainstMaxCols(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fits a model")
+	}
+	bench := datasets.Hospital(120, 3)
+	d := bench.Dirty
+	ts, _ := testServer(t, Config{Workers: 2, MaxCols: d.NumCols() + 1})
+	st := fitHTTPModel(t, ts.URL, benchCSV(t, d), "?seed=3")
+
+	// widened renders the first rows of d with extra columns in front.
+	widened := func(extra int) []byte {
+		var b bytes.Buffer
+		w := csv.NewWriter(&b)
+		pad := make([]string, extra)
+		for k := range pad {
+			pad[k] = fmt.Sprintf("extra%d", k)
+		}
+		w.Write(append(pad, d.Attrs...))
+		for i := range 5 {
+			w.Write(append(pad, d.Row(i)...))
+		}
+		w.Flush()
+		return b.Bytes()
+	}
+	for _, route := range []string{"score", "repair", "stream"} {
+		url := ts.URL + "/v1/models/" + st.ID + "/" + route
+		resp, err := http.Post(url, "text/csv", bytes.NewReader(widened(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: a mapped header at the cap got status %d, want 200", route, resp.StatusCode)
+		}
+
+		resp, err = http.Post(url, "text/csv", bytes.NewReader(widened(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env map[string]apiError
+		derr := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || env["error"].Code != "bad_upload" {
+			t.Errorf("%s: a header past the cap got status %d, error %+v (%v); want 400 bad_upload",
+				route, resp.StatusCode, env["error"], derr)
+		}
+	}
 }

@@ -70,7 +70,7 @@ func (s *Server) handleModelRepair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	ds, mapping, err := s.ingestUpload("repair", r, body, e.m.Attrs())
+	ds, mapping, err := s.ingestUpload("repair", r, body, e.m.Bind())
 	if err != nil {
 		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
 		return

@@ -402,12 +402,6 @@ func parseParams(r *http.Request) (JobParams, error) {
 	return p, nil
 }
 
-// ingestLimits bound one upload ingestion.
-type ingestLimits struct {
-	maxRows int
-	maxCols int
-}
-
 // requestFormat resolves an upload's ingest format: the ?format query
 // parameter wins; otherwise the Content-Type media type decides, parsed
 // with mime.ParseMediaType (inside table.FormatForMediaType) so parameters
@@ -432,43 +426,57 @@ func requestFormat(r *http.Request) (string, error) {
 // header may be a permutation or superset of the model's columns — extras
 // are dropped and reported in the returned mapping, missing columns are a
 // typed *table.MissingColumnsError — and NDJSON lines bind directly to the
-// schema (arrays in model order, objects keyed by attribute name).
-func uploadSource(r *http.Request, body io.Reader, schema []string) (table.RowSource, *table.ColumnMapping, error) {
+// schema (arrays in model order, objects keyed by attribute name). On
+// every route the raw header, before any mapping, counts against
+// -max-cols.
+func (s *Server) uploadSource(r *http.Request, body io.Reader, schema []string) (table.RowSource, *table.ColumnMapping, error) {
 	format, err := requestFormat(r)
 	if err != nil {
 		return nil, nil, err
 	}
+	var src table.RowSource
 	if format == table.FormatNDJSON {
-		src, err := table.NewNDJSONSource(body, schema)
-		return src, nil, err
+		src, err = table.NewNDJSONSource(body, schema)
+	} else {
+		src, err = table.NewCSVSource(body)
 	}
-	src, err := table.NewCSVSource(body)
 	if err != nil {
 		return nil, nil, err
 	}
-	if schema != nil {
+	if err := checkWidth(src, s.cfg.MaxCols); err != nil {
+		return nil, nil, err
+	}
+	if format == table.FormatCSV && schema != nil {
 		return table.MapSource(schema, src)
 	}
 	return src, nil, nil
 }
 
-// ingestSource streams a row source straight into a columnar dataset via
-// table.NewStream — rows are interned into the per-column dictionaries as
-// they are decoded, never materialized as a record set — enforcing the row
-// and column limits as the stream advances. Every malformed input (missing
-// header, ragged rows, quoting or JSON errors, oversized shapes, empty
-// data) comes back as an error, not a panic.
-func ingestSource(name string, src table.RowSource, lim ingestLimits) (*table.Dataset, error) {
-	stream := table.NewStream(name, src)
-	ds := stream.Dataset()
-	if lim.maxCols > 0 && ds.NumCols() > lim.maxCols {
-		return nil, fmt.Errorf("serve: %d columns exceeds the limit of %d", ds.NumCols(), lim.maxCols)
+// errTooWide marks an upload header wider than the column cap. Every
+// route answers it with a 400 bad_upload, streams included.
+var errTooWide = errors.New("too many columns")
+
+// checkWidth rejects a source whose header is wider than maxCols (0: no
+// cap).
+func checkWidth(src table.RowSource, maxCols int) error {
+	if n := len(src.Header()); maxCols > 0 && n > maxCols {
+		return fmt.Errorf("serve: %d columns exceeds the limit of %d: %w", n, maxCols, errTooWide)
 	}
+	return nil
+}
+
+// ingestSource drains a table.Stream — rows are interned into the
+// dataset's dictionaries as they are decoded, never materialized as a
+// record set — enforcing the row limit (0: none) as the stream advances.
+// Every malformed input (ragged rows, quoting or JSON errors, oversized
+// shapes, empty data) comes back as an error, not a panic.
+func ingestSource(st *table.Stream, maxRows int) (*table.Dataset, error) {
+	ds := st.Dataset()
 	const chunk = 4096
 	for {
-		_, err := stream.ReadChunk(chunk)
-		if lim.maxRows > 0 && ds.NumRows() > lim.maxRows {
-			return nil, fmt.Errorf("serve: row count exceeds the limit of %d", lim.maxRows)
+		_, err := st.ReadChunk(chunk)
+		if maxRows > 0 && ds.NumRows() > maxRows {
+			return nil, fmt.Errorf("serve: row count exceeds the limit of %d", maxRows)
 		}
 		if err == io.EOF {
 			break
@@ -483,17 +491,30 @@ func ingestSource(name string, src table.RowSource, lim ingestLimits) (*table.Da
 	return ds, nil
 }
 
-// ingestUpload is the shared entry point for the whole-body endpoints
-// (jobs, fit, score, repair): negotiate the format, open the source, map it
-// onto the schema when given, and stream it into a dataset under limits.
-func (s *Server) ingestUpload(name string, r *http.Request, body io.Reader, schema []string) (*table.Dataset, *table.ColumnMapping, error) {
+// ingestUpload is the shared entry point for the whole-body endpoints:
+// negotiate the format, open the source and stream it in under limits.
+// With a nil into (jobs, fits) the body describes itself and loads into a
+// fresh dataset named name. Score and repair pass a model's Bind: rows are
+// mapped onto its schema and each cell is interned once, straight into the
+// model's dictionaries, so scoring needs no second pass.
+func (s *Server) ingestUpload(name string, r *http.Request, body io.Reader, into *table.Dataset) (*table.Dataset, *table.ColumnMapping, error) {
 	_, span := obs.Start(r.Context(), "ingest")
 	defer span.End()
-	src, mapping, err := uploadSource(r, body, schema)
+	var schema []string
+	if into != nil {
+		schema = into.Attrs
+	}
+	src, mapping, err := s.uploadSource(r, body, schema)
 	if err != nil {
 		return nil, nil, err
 	}
-	ds, err := ingestSource(name, src, ingestLimits{maxRows: s.cfg.MaxRows, maxCols: s.cfg.MaxCols})
+	var st *table.Stream
+	if into == nil {
+		st = table.NewStream(name, src)
+	} else if st, err = table.NewStreamInto(into, src); err != nil {
+		return nil, nil, err
+	}
+	ds, err := ingestSource(st, s.cfg.MaxRows)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -130,9 +131,13 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 		}
 		chunkRows = n
 	}
-	src, _, err := uploadSource(r, r.Body, e.m.Attrs())
+	src, _, err := s.uploadSource(r, r.Body, e.m.Attrs())
 	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_stream", err.Error())
+		code := "bad_stream"
+		if errors.Is(err, errTooWide) {
+			code = "bad_upload"
+		}
+		writeErr(w, r, http.StatusBadRequest, code, err.Error())
 		return
 	}
 	withScores := r.URL.Query().Get("scores") != "0"

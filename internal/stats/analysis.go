@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/table"
 	"repro/internal/text"
@@ -207,63 +208,123 @@ type FDGroups struct {
 	mask [][]bool
 	det  int
 	// Group k holds determinant value ID ids[k] on rows
-	// rows[bounds[k]:bounds[k+1]], in ascending row order; ids ascend.
+	// rows[bounds[k]:bounds[k+1]], in ascending row order; groups are in
+	// order of first appearance.
 	ids    []int32
 	bounds []int32
 	rows   []int32
 	votes  []int32 // dependent value ID per entry of rows
-	counts []int32 // dependent-ID counts, all zero between Majority calls
-	want   []int32 // Majority's result, indexed by determinant value ID
+	group  []int32 // group index of each row of d, or -1
+	want   []int32 // Majority's result, indexed by group
 }
 
 // FDMajority is the value-ID form of an FDCandidate for one dependent.
 type FDMajority struct {
 	Support float64 // average share of the majority dependent value
 	Groups  int     // determinant values seen at least twice
-	// Want[id] is the majority dependent value ID (see DepValue) for
-	// determinant value ID id, or negative when id has no group. The
-	// slice belongs to the FDGroups and is overwritten by its next
-	// Majority call.
+	// Want[k] is the majority dependent value ID (see DepValue) of group
+	// k, the rows Group maps to k. The slice belongs to the FDGroups and
+	// is overwritten by its next Majority call.
 	Want []int32
+}
+
+// zeroed32 pools int32 scratch arrays indexed by value ID. An array is all
+// zero when handed out and must be all zero again when returned, so a user
+// that clears only the entries it touched pays O(entries touched) per use,
+// not O(dictionary): a request-sized Derive of a large fitted dictionary
+// is counted and grouped in O(rows).
+var zeroed32 sync.Pool
+
+func getZeroed32(n int) *[]int32 {
+	if p, ok := zeroed32.Get().(*[]int32); ok && len(*p) >= n {
+		return p
+	}
+	a := make([]int32, n)
+	return &a
+}
+
+// PresentIDs returns the distinct value IDs of column col on the rows mask
+// leaves unflagged (every row under a nil mask), in order of first
+// appearance, and the row count of each. It visits only those rows and the
+// IDs on them, so it costs O(rows) however large the column's dictionary
+// is. A freshly loaded column numbers its values in order of first
+// appearance, so there the order is ascending; a Derive'd dataset gets the
+// same values in the same order as the fresh load of the same rows.
+func PresentIDs(d *table.Dataset, col int, mask [][]bool) (ids, counts []int32) {
+	colIDs := d.ColumnIDs(col)
+	scratch := getZeroed32(d.DictSize(col))
+	seen := *scratch
+	ids = make([]int32, 0, min(len(colIDs), d.DictSize(col)))
+	for i, id := range colIDs {
+		if mask != nil && mask[i][col] {
+			continue
+		}
+		if seen[id] == 0 {
+			ids = append(ids, int32(id))
+		}
+		seen[id]++
+	}
+	counts = make([]int32, len(ids))
+	for k, id := range ids {
+		counts[k], seen[id] = seen[id], 0
+	}
+	zeroed32.Put(scratch)
+	return ids, counts
 }
 
 // GroupFD buckets d's rows by their value ID in column det with one
 // counting sort. A non-nil mask marks flagged cells: a flagged determinant
 // cell is skipped like a null-like one, and a flagged dependent cell votes
-// for "" in Majority.
+// for "" in Majority. Like PresentIDs it visits only the IDs present, in
+// order of first appearance, so it costs O(rows) however large the
+// dictionary is.
 func GroupFD(d *table.Dataset, det int, mask [][]bool) *FDGroups {
 	detIDs, dict := d.ColumnIDs(det), d.Dict(det)
-	// next[id] first counts id's rows, then holds the next free slot of
-	// id's group in rows, or -1 when id heads no group.
-	next := make([]int32, len(dict))
-	for i, id := range detIDs {
-		if mask == nil || !mask[i][det] {
-			next[id]++
-		}
-	}
-	g := &FDGroups{d: d, mask: mask, det: det, want: make([]int32, len(dict)), bounds: []int32{0}}
-	for id, c := range next {
-		g.want[id], next[id] = -1, -1
+	present, counts := PresentIDs(d, det, mask)
+	// slot[id] is one past the next free entry of id's group in rows, or
+	// zero when id heads no group.
+	scratch := getZeroed32(len(dict))
+	slot := *scratch
+	g := &FDGroups{d: d, mask: mask, det: det, bounds: []int32{0}}
+	for k, id := range present {
 		// Null-likeness is a per-value property: test it only for values
 		// heading a group of two or more rows.
-		if c < 2 || text.IsNullLike(dict[id]) {
-			continue
+		if c := counts[k]; c >= 2 && !text.IsNullLike(dict[id]) {
+			lo := g.bounds[len(g.bounds)-1]
+			slot[id] = lo + 1
+			g.ids = append(g.ids, id)
+			g.bounds = append(g.bounds, lo+c)
 		}
-		next[id] = g.bounds[len(g.bounds)-1]
-		g.ids = append(g.ids, int32(id))
-		g.bounds = append(g.bounds, next[id]+c)
 	}
 	g.rows = make([]int32, g.bounds[len(g.bounds)-1])
 	g.votes = make([]int32, len(g.rows))
+	g.want = make([]int32, len(g.ids))
 	for i, id := range detIDs {
-		if next[id] < 0 || (mask != nil && mask[i][det]) {
+		if slot[id] == 0 || (mask != nil && mask[i][det]) {
 			continue
 		}
-		g.rows[next[id]] = int32(i)
-		next[id]++
+		g.rows[slot[id]-1] = int32(i)
+		slot[id]++
+	}
+	for _, id := range g.ids {
+		slot[id] = 0
+	}
+	zeroed32.Put(scratch)
+	g.group = make([]int32, len(detIDs))
+	for i := range g.group {
+		g.group[i] = -1
+	}
+	for k := range g.ids {
+		for _, r := range g.rows[g.bounds[k]:g.bounds[k+1]] {
+			g.group[r] = int32(k)
+		}
 	}
 	return g
 }
+
+// Group returns the index of the group holding row i, or -1 when the
+// grouping left the row out (flagged, null-like or singleton determinant).
+func (g *FDGroups) Group(i int) int { return int(g.group[i]) }
 
 // DepValue returns the string of a dependent value ID from Want: ID
 // DictSize(dep) stands for the "" a flagged cell votes for when "" is not
@@ -279,9 +340,10 @@ func depValue(dict []string, id int32) string {
 	return dict[id]
 }
 
-// Majority counts dependent column dep within every group in one dense
-// count array and picks each group's majority value: the highest count,
-// ties broken by the lowest string. It costs O(group rows).
+// Majority counts dependent column dep within every group in one count
+// array indexed by value ID and picks each group's majority value: the
+// highest count, ties broken by the lowest string. It costs O(group rows);
+// the count array comes from a pool and is cleared entry by entry.
 func (g *FDGroups) Majority(dep int) FDMajority {
 	depIDs, dict := g.d.ColumnIDs(dep), g.d.Dict(dep)
 	n := len(dict)
@@ -289,10 +351,8 @@ func (g *FDGroups) Majority(dep int) FDMajority {
 	if id, ok := g.d.LookupID(dep, ""); ok && g.mask != nil {
 		flagged = int32(id)
 	}
-	if cap(g.counts) <= n {
-		g.counts = make([]int32, n+1)
-	}
-	counts := g.counts[:n+1]
+	scratch := getZeroed32(n + 1)
+	counts := *scratch
 	// Gather every grouped row's vote once, in group order, so both passes
 	// below run sequentially over one array.
 	votes := g.votes
@@ -305,7 +365,7 @@ func (g *FDGroups) Majority(dep int) FDMajority {
 	// Weights are integers, so summing them as ints and converting once
 	// gives the same float64 bits as summing floats group by group.
 	weight, support := 0, 0
-	for k, id := range g.ids {
+	for k := range g.ids {
 		group := votes[g.bounds[k]:g.bounds[k+1]]
 		for _, v := range group {
 			counts[v]++
@@ -323,10 +383,11 @@ func (g *FDGroups) Majority(dep int) FDMajority {
 				best, bestC = v, c
 			}
 		}
-		g.want[id] = best
+		g.want[k] = best
 		weight += len(group)
 		support += int(bestC)
 	}
+	zeroed32.Put(scratch)
 	maj := FDMajority{Groups: len(g.ids), Want: g.want}
 	if weight > 0 {
 		maj.Support = float64(support) / float64(weight)
@@ -338,8 +399,8 @@ func (g *FDGroups) Majority(dep int) FDMajority {
 func (g *FDGroups) Candidate(dep int) FDCandidate {
 	maj := g.Majority(dep)
 	cand := FDCandidate{Det: g.det, Dep: dep, Support: maj.Support, Mapping: make(map[string]string, maj.Groups)}
-	for _, id := range g.ids {
-		cand.Mapping[g.d.DictValue(g.det, uint32(id))] = g.DepValue(dep, maj.Want[id])
+	for k, id := range g.ids {
+		cand.Mapping[g.d.DictValue(g.det, uint32(id))] = g.DepValue(dep, maj.Want[k])
 	}
 	return cand
 }

@@ -20,7 +20,7 @@ import (
 //
 // Observation is per cell value, independent of how rows are chunked, so
 // the gauges are invariant to chunk boundaries. A tracker is not safe for
-// concurrent use; the owner serializes ObserveRow calls (the streaming
+// concurrent use; the owner serializes Observe calls (the streaming
 // scorer holds its own mutex).
 type DriftTracker struct {
 	// ref is an empty dataset bound to the fit-time dictionaries (never
@@ -91,23 +91,38 @@ func NewDriftTracker(s *FreqSnapshot, ref *table.Dataset) (*DriftTracker, error)
 	return t, nil
 }
 
-// ObserveRow folds one stream row (in reference attribute order) into the
-// observed distribution. Rows whose arity does not match the schema are
-// rejected untracked.
-func (t *DriftTracker) ObserveRow(row []string) error {
-	if len(row) != t.ref.NumCols() {
-		return fmt.Errorf("stats: drift row arity %d does not match schema arity %d", len(row), t.ref.NumCols())
+// Observe folds every row of d (in reference attribute order) into the
+// observed distribution. When d was derived from the reference dataset
+// (table.Dataset.Derive), its value IDs are counted as they are: an ID
+// below the fit-time dictionary size is that fit-time value, any other is
+// unseen, and no cell is hashed. Any other dataset is resolved cell by
+// cell through the reference's dictionaries by string. Both give the same
+// counts. A dataset whose arity does not match the schema is rejected
+// untracked.
+func (t *DriftTracker) Observe(d *table.Dataset) error {
+	if d.NumCols() != t.ref.NumCols() {
+		return fmt.Errorf("stats: drift dataset arity %d does not match schema arity %d", d.NumCols(), t.ref.NumCols())
 	}
-	for j, v := range row {
-		if id, ok := t.ref.LookupID(j, v); ok {
-			t.obsCounts[j][id]++
-		} else {
-			t.obsUnseen[j]++
-			t.unseen++
+	bound := d.DerivedFrom(t.ref)
+	for j := range t.obsCounts {
+		counts := t.obsCounts[j]
+		for _, id := range d.ColumnIDs(j) {
+			if !bound {
+				var ok bool
+				if id, ok = t.ref.LookupID(j, d.DictValue(j, id)); !ok {
+					id = uint32(len(counts))
+				}
+			}
+			if int(id) < len(counts) {
+				counts[id]++
+			} else {
+				t.obsUnseen[j]++
+				t.unseen++
+			}
 		}
 	}
-	t.obsRows++
-	t.obsCells += int64(len(row))
+	t.obsRows += d.NumRows()
+	t.obsCells += int64(d.NumCells())
 	return nil
 }
 

@@ -33,15 +33,23 @@ func fitAndTracker(t *testing.T, rows [][]string) (*table.Dataset, *DriftTracker
 	return fit, tr
 }
 
+// rowsDataset builds a plain dataset over the tracker schema, the form
+// Observe resolves by string.
+func rowsDataset(rows ...[]string) *table.Dataset {
+	d := table.New("rows", []string{"a", "b"})
+	for _, r := range rows {
+		d.MustAppendRow(r)
+	}
+	return d
+}
+
 // TestDriftTrackerIdenticalStream: replaying the fitting rows yields zero
 // unseen rate and zero shift.
 func TestDriftTrackerIdenticalStream(t *testing.T) {
 	rows := [][]string{{"x", "1"}, {"y", "2"}, {"x", "1"}, {"z", "3"}}
 	_, tr := fitAndTracker(t, rows)
-	for _, r := range rows {
-		if err := tr.ObserveRow(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := tr.Observe(rowsDataset(rows...)); err != nil {
+		t.Fatal(err)
 	}
 	g := tr.Gauges()
 	if g.Rows != len(rows) || g.UnseenRate != 0 {
@@ -59,10 +67,12 @@ func TestDriftTrackerIdenticalStream(t *testing.T) {
 // both gauges to 1.
 func TestDriftTrackerDisjointStream(t *testing.T) {
 	_, tr := fitAndTracker(t, [][]string{{"x", "1"}, {"y", "2"}})
+	novel := rowsDataset()
 	for i := 0; i < 10; i++ {
-		if err := tr.ObserveRow([]string{fmt.Sprintf("n%d", i), fmt.Sprintf("m%d", i)}); err != nil {
-			t.Fatal(err)
-		}
+		novel.MustAppendRow([]string{fmt.Sprintf("n%d", i), fmt.Sprintf("m%d", i)})
+	}
+	if err := tr.Observe(novel); err != nil {
+		t.Fatal(err)
 	}
 	g := tr.Gauges()
 	if g.UnseenRate != 1 {
@@ -95,13 +105,14 @@ func TestDriftTrackerChunkInvariance(t *testing.T) {
 		})
 	}
 	_, tr1 := fitAndTracker(t, fitRows)
-	for _, r := range stream {
-		tr1.ObserveRow(r)
+	if err := tr1.Observe(rowsDataset(stream...)); err != nil {
+		t.Fatal(err)
 	}
 	_, tr2 := fitAndTracker(t, fitRows)
-	perm := rng.Perm(len(stream))
-	for _, i := range perm {
-		tr2.ObserveRow(stream[i])
+	for _, i := range rng.Perm(len(stream)) {
+		if err := tr2.Observe(rowsDataset(stream[i])); err != nil {
+			t.Fatal(err)
+		}
 	}
 	g1, g2 := tr1.Gauges(), tr2.Gauges()
 	if g1 != g2 {
@@ -113,7 +124,7 @@ func TestDriftTrackerChunkInvariance(t *testing.T) {
 // references are errors, not corruption.
 func TestDriftTrackerRejectsBadShapes(t *testing.T) {
 	_, tr := fitAndTracker(t, [][]string{{"x", "1"}})
-	if err := tr.ObserveRow([]string{"only-one"}); err == nil {
+	if err := tr.Observe(table.New("r", []string{"only-one"})); err == nil {
 		t.Fatal("arity mismatch must error")
 	}
 	if g := tr.Gauges(); g.Rows != 0 {
@@ -129,5 +140,55 @@ func TestDriftTrackerRejectsBadShapes(t *testing.T) {
 	nonEmpty.MustAppendRow([]string{"v"})
 	if _, err := NewDriftTracker(&FreqSnapshot{Counts: [][]int{{1}}}, nonEmpty); err == nil {
 		t.Fatal("non-empty reference must error")
+	}
+}
+
+// TestDriftTrackerBoundIDsMatchStrings: observing chunks bound to the
+// reference dictionaries (a Derive of the reference, counted by ID) yields
+// gauges bit-equal to resolving the same cells by string, over a stream
+// that mixes fit-time values with unseen ones and is folded chunk by chunk.
+func TestDriftTrackerBoundIDsMatchStrings(t *testing.T) {
+	fitRows := [][]string{{"x", "1"}, {"y", "2"}, {"x", "3"}, {"z", "2"}}
+	rng := rand.New(rand.NewSource(11))
+	_, byID := fitAndTracker(t, fitRows)
+	_, byString := fitAndTracker(t, fitRows)
+	for chunk := 0; chunk < 12; chunk++ {
+		bound := byID.ref.Derive("chunk")
+		for i := 0; i < 1+rng.Intn(9); i++ {
+			bound.MustAppendRow([]string{
+				[]string{"x", "y", "z", "novel", fmt.Sprintf("n%d", chunk)}[rng.Intn(5)],
+				fmt.Sprintf("%d", rng.Intn(6)),
+			})
+		}
+		plain := rowsDataset()
+		for i := 0; i < bound.NumRows(); i++ {
+			plain.MustAppendRow(bound.Row(i))
+		}
+		if err := byID.Observe(bound); err != nil {
+			t.Fatal(err)
+		}
+		if err := byString.Observe(plain); err != nil {
+			t.Fatal(err)
+		}
+		g1, g2 := byID.Gauges(), byString.Gauges()
+		if g1.Rows != g2.Rows || math.Float64bits(g1.UnseenRate) != math.Float64bits(g2.UnseenRate) ||
+			math.Float64bits(g1.Shift) != math.Float64bits(g2.Shift) {
+			t.Fatalf("chunk %d: bound gauges %+v, string gauges %+v", chunk, g1, g2)
+		}
+	}
+	if g := byID.Gauges(); g.UnseenRate == 0 || g.UnseenRate == 1 {
+		t.Fatalf("stream is not a warm+cold mix: unseen rate %g", g.UnseenRate)
+	}
+	// A chunk bound to another reference's dictionaries is resolved by
+	// string, not misread by ID.
+	_, other := fitAndTracker(t, [][]string{{"novel", "9"}, {"x", "1"}})
+	foreign := other.ref.Derive("foreign")
+	foreign.MustAppendRow([]string{"novel", "9"})
+	_, tr := fitAndTracker(t, fitRows)
+	if err := tr.Observe(foreign); err != nil {
+		t.Fatal(err)
+	}
+	if g := tr.Gauges(); g.UnseenRate != 1 {
+		t.Fatalf("foreign-bound chunk read as seen: %+v", g)
 	}
 }

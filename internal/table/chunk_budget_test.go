@@ -14,10 +14,11 @@ import (
 // appends nothing.
 func TestReadChunkRejectsNonPositiveBudget(t *testing.T) {
 	for _, budget := range []int{0, -1, -100} {
-		s, err := NewCSVStream("b", strings.NewReader("a,b\n1,2\n3,4\n"))
+		src, err := NewCSVSource(strings.NewReader("a,b\n1,2\n3,4\n"))
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := NewStream("b", src)
 		n, err := s.ReadChunk(budget)
 		if err == nil || errors.Is(err, io.EOF) {
 			t.Fatalf("ReadChunk(%d) = (%d, %v), want a budget error", budget, n, err)
@@ -37,10 +38,11 @@ func TestReadChunkRejectsNonPositiveBudget(t *testing.T) {
 // reports io.EOF with zero rows on the first budgeted call, and the dataset
 // keeps the parsed schema.
 func TestReadChunkHeaderOnlyBody(t *testing.T) {
-	s, err := NewCSVStream("h", strings.NewReader("a,b,c\n"))
+	src, err := NewCSVSource(strings.NewReader("a,b,c\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewStream("h", src)
 	n, err := s.ReadChunk(16)
 	if n != 0 || err != io.EOF {
 		t.Fatalf("header-only ReadChunk = (%d, %v), want (0, io.EOF)", n, err)
@@ -58,10 +60,11 @@ func TestReadChunkHeaderOnlyBody(t *testing.T) {
 // before the truncation point is retained.
 func TestReadChunkMidRecordTruncation(t *testing.T) {
 	in := "a,b\n1,2\n3,\"unterminated quote"
-	s, err := NewCSVStream("t", strings.NewReader(in))
+	src, err := NewCSVSource(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewStream("t", src)
 	total := 0
 	var lastErr error
 	for {

@@ -56,17 +56,6 @@ func (c *csvSource) Next(max int) ([][]string, error) {
 	return rows, nil
 }
 
-// NewCSVStream starts a streaming CSV parse: it reads the header row
-// immediately and leaves the data rows for ReadChunk/ReadAll. The dataset
-// name is taken from the caller, not the file.
-func NewCSVStream(name string, r io.Reader) (*Stream, error) {
-	src, err := NewCSVSource(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewStream(name, src), nil
-}
-
 // ReadCSVFile loads a dataset from a CSV file path.
 func ReadCSVFile(name, path string) (*Dataset, error) {
 	return ReadFile(name, path, FormatCSV)

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -200,5 +201,115 @@ func TestDeriveCostIndependentOfDictSize(t *testing.T) {
 	small, large := allocs(10), allocs(100_000)
 	if small != large {
 		t.Fatalf("Derive allocates %v times over a 10-entry dictionary but %v over a 100000-entry one", small, large)
+	}
+}
+
+// TestStreamIntoDerive: loading a body into a Derive interns each cell once
+// to the same IDs, in the same order, as appending the parsed rows; the
+// derived dataset records its origin; a header that is not the schema is
+// rejected before any row is read.
+func TestStreamIntoDerive(t *testing.T) {
+	_, proto := deriveProto(t)
+	body := "a,b\ny,3\nnovel,1\nx,other\nnovel,3\n"
+	src, err := NewCSVSource(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStreamInto(proto.Derive("body"), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReadAll(); err != nil {
+		t.Fatal(err)
+	}
+	got := s.Dataset()
+	want := proto.Derive("rows")
+	plain, err := Read("plain", FormatCSV, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < plain.NumRows(); i++ {
+		want.MustAppendRow(plain.Row(i))
+	}
+	assertSameDataset(t, want, got)
+	if !got.DerivedFrom(proto) || plain.DerivedFrom(proto) || proto.DerivedFrom(proto) || got.DerivedFrom(nil) {
+		t.Error("DerivedFrom must hold exactly for datasets made by proto.Derive")
+	}
+	if got.Derive("again").DerivedFrom(proto) {
+		t.Error("a Derive of a derived dataset is derived from that dataset, not from its origin")
+	}
+
+	src, err = NewCSVSource(strings.NewReader("b,a\n1,x\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewStreamInto(proto.Derive("body"), src); err == nil {
+		t.Error("a permuted header must be mapped with MapSource first, not loaded as is")
+	}
+}
+
+// TestAppendFromSharesOriginIDs: appending rows of a sibling Derive copies
+// fit-time IDs as they are and interns only the sibling's own values, ending
+// with the dataset a row-by-row AppendRow builds; a source with another
+// origin, or none, is interned by string to the same result.
+func TestAppendFromSharesOriginIDs(t *testing.T) {
+	_, proto := deriveProto(t)
+	_, otherProto := deriveProto(t)
+	rows := [][]string{{"novel", "1"}, {"y", "fresh"}, {"x", "3"}, {"novel", "fresh"}, {"past-n", "2"}}
+	for name, src := range map[string]*Dataset{
+		"sibling": proto.Derive("chunk"),
+		"foreign": otherProto.Derive("chunk"),
+		"plain":   New("chunk", proto.Attrs),
+	} {
+		for _, r := range rows {
+			src.MustAppendRow(r)
+		}
+		// The accumulator already holds an unseen value, so the source's
+		// fresh IDs mean other values in it.
+		got, want := proto.Derive("accum"), proto.Derive("accum")
+		for _, d := range []*Dataset{got, want} {
+			d.MustAppendRow([]string{"earlier", "2"})
+		}
+		for _, r := range rows[:4] {
+			want.MustAppendRow(r)
+		}
+		if err := got.AppendFrom(src, 4); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { assertSameDataset(t, want, got) })
+	}
+	if err := proto.Derive("a").AppendFrom(New("n", []string{"a"}), 0); err == nil {
+		t.Error("an arity mismatch must be rejected")
+	}
+	if err := proto.Derive("a").AppendFrom(proto.Derive("b"), 1); err == nil {
+		t.Error("appending more rows than the source holds must be rejected")
+	}
+}
+
+// TestCloneOfDeriveIsCheap: cloning a Derive of a large dictionary-seeded
+// dataset shares the dictionary instead of copying it, and stays isolated:
+// values the clone interns never reach the original.
+func TestCloneOfDeriveIsCheap(t *testing.T) {
+	dict := make([]string, 100_000)
+	for i := range dict {
+		dict[i] = fmt.Sprintf("v%d", i)
+	}
+	proto, err := NewFromDicts("proto", []string{"a"}, [][]string{dict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := proto.Derive("body")
+	d.MustAppendRow([]string{"v7"})
+	d.MustAppendRow([]string{"novel"})
+	c := d.Clone()
+	if &c.cols[0].dict[0] != &d.cols[0].dict[0] {
+		t.Error("Clone copied the dictionary instead of sharing it")
+	}
+	c.SetValue(0, 0, "clone-only")
+	if _, ok := d.LookupID(0, "clone-only"); ok || d.Value(0, 0) != "v7" || d.DictSize(0) != len(dict)+1 {
+		t.Error("a value interned by the clone reached the original")
+	}
+	if c.Value(0, 0) != "clone-only" || c.Value(1, 0) != "novel" {
+		t.Errorf("clone reads %q, %q", c.Value(0, 0), c.Value(1, 0))
 	}
 }

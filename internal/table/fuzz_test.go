@@ -29,9 +29,10 @@ func FuzzReadCSV(f *testing.F) {
 		// Chunked load must agree with the one-shot load, including on
 		// whether the input is malformed.
 		var chunked *Dataset
-		s, err := NewCSVStream("f", bytes.NewReader(data))
+		src, err := NewCSVSource(bytes.NewReader(data))
 		chunkedErr := err
 		if err == nil {
+			s := NewStream("f", src)
 			chunked = s.Dataset()
 			for chunkedErr == nil {
 				_, chunkedErr = s.ReadChunk(3)

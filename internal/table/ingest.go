@@ -6,6 +6,7 @@ import (
 	"mime"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -90,9 +91,22 @@ type Stream struct {
 }
 
 // NewStream starts loading src into a fresh dataset named name, with the
-// source's header as the schema.
+// source's header as the schema. It is NewStreamInto over an empty New
+// dataset.
 func NewStream(name string, src RowSource) *Stream {
 	return &Stream{d: New(name, append([]string(nil), src.Header()...)), src: src}
+}
+
+// NewStreamInto starts loading src into the existing dataset d, after its
+// rows: values d's dictionaries already hold intern to their IDs, so
+// loading into a Derive of a model's dictionary-seeded dataset binds each
+// cell as it is decoded. The source header must equal d's schema; map an
+// upload header onto it with MapSource first.
+func NewStreamInto(d *Dataset, src RowSource) (*Stream, error) {
+	if !slices.Equal(src.Header(), d.Attrs) {
+		return nil, fmt.Errorf("table: source header %q does not match schema %q", src.Header(), d.Attrs)
+	}
+	return &Stream{d: d, src: src}, nil
 }
 
 // Dataset returns the dataset being loaded. It grows as chunks are read;

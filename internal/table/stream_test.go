@@ -66,10 +66,11 @@ func TestChunkedLoadEqualsWholeFileLoad(t *testing.T) {
 		t.Fatal("repeated value not interned to one ID")
 	}
 	for _, chunk := range []int{1, 2, 3, 7, 64} {
-		s, err := NewCSVStream("m", strings.NewReader(messyCSV))
+		src, err := NewCSVSource(strings.NewReader(messyCSV))
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := NewStream("m", src)
 		for {
 			n, err := s.ReadChunk(chunk)
 			if err == io.EOF {
@@ -91,10 +92,11 @@ func TestStreamReadAllEqualsReadCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewCSVStream("m", strings.NewReader(messyCSV))
+	src, err := NewCSVSource(strings.NewReader(messyCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewStream("m", src)
 	if err := s.ReadAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +114,11 @@ func TestStreamRaggedRow(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "row 2") {
 		t.Fatalf("ragged error should name row 2, got: %v", err)
 	}
-	s, err := NewCSVStream("r", strings.NewReader(in))
+	src, err := NewCSVSource(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewStream("r", src)
 	n, err := s.ReadChunk(100)
 	if err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("chunked ragged read = (%d, %v), want parse error", n, err)
@@ -130,7 +133,7 @@ func TestStreamEdgeCases(t *testing.T) {
 	if _, err := Read("e", FormatCSV, strings.NewReader("")); err == nil {
 		t.Error("empty input must error (no header)")
 	}
-	if _, err := NewCSVStream("e", strings.NewReader("")); err == nil {
+	if _, err := NewCSVSource(strings.NewReader("")); err == nil {
 		t.Error("empty stream must error (no header)")
 	}
 	if _, err := Read("e", FormatCSV, strings.NewReader("a,\"b\n")); err == nil {
@@ -164,10 +167,11 @@ func TestSnapshotAndCloneDuringStreamingAppend(t *testing.T) {
 		fmt.Fprintf(&sb, "a%d,b%d,c%d\n", i%17, i%5, i)
 	}
 
-	s, err := NewCSVStream("stream", strings.NewReader(sb.String()))
+	src, err := NewCSVSource(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewStream("stream", src)
 	var wg sync.WaitGroup
 	snaps := make(chan *Dataset, rows/chunk+1)
 	errc := make(chan error, 64)

@@ -61,12 +61,14 @@ func (c *column) intern(v string) uint32 {
 	return id
 }
 
-// clone deep-copies the column; the clone's pool evolves independently.
-// The frozen base is shared, only the overlay is copied.
+// clone copies the column; the clone's pool evolves independently. Dict
+// entries are never rewritten, so the dict is shared capacity-clamped (the
+// clone's first new value reallocates it) and the frozen base is shared;
+// only the row IDs and the overlay index are copied.
 func (c *column) clone() column {
 	return column{
 		ids:   append([]uint32(nil), c.ids...),
-		dict:  append([]string(nil), c.dict...),
+		dict:  c.dict[:len(c.dict):len(c.dict)],
 		base:  c.base,
 		index: maps.Clone(c.index),
 	}
@@ -81,6 +83,9 @@ type Dataset struct {
 
 	cols  []column
 	nrows int
+	// origin is the dataset this one was derived from (Derive), whose value
+	// IDs it shares; nil otherwise.
+	origin *Dataset
 }
 
 // New creates an empty dataset with the given schema.
@@ -140,14 +145,24 @@ func NewFromDicts(name string, attrs []string, dicts [][]string) (*Dataset, erro
 // d's frozen base index and capacity-clamped dict and copies only d's
 // overlay, so deriving from a rows-free NewFromDicts dataset costs
 // O(columns) however large the dictionaries are. Safe to call
-// concurrently on a d nobody appends to.
+// concurrently on a d nobody appends to. The result records d as its
+// origin (DerivedFrom): while d is never appended to, every ID below
+// d.DictSize(j) means the same value in d and in each dataset derived
+// from it.
 func (d *Dataset) Derive(name string) *Dataset {
-	c := &Dataset{Name: name, Attrs: d.Attrs, cols: make([]column, len(d.cols))}
+	c := &Dataset{Name: name, Attrs: d.Attrs, cols: make([]column, len(d.cols)), origin: d}
 	for j := range d.cols {
 		src := &d.cols[j]
 		c.cols[j] = column{dict: src.dict[:len(src.dict):len(src.dict)], base: src.base, index: maps.Clone(src.index)}
 	}
 	return c
+}
+
+// DerivedFrom reports whether d was made by origin.Derive, so that d's
+// value IDs below origin's dictionary sizes are origin's own. It is an
+// identity check, O(1), never a comparison of contents.
+func (d *Dataset) DerivedFrom(origin *Dataset) bool {
+	return origin != nil && d.origin == origin
 }
 
 // NumRows returns the number of tuples.
@@ -244,6 +259,36 @@ func (d *Dataset) MustAppendRow(row []string) {
 	}
 }
 
+// AppendFrom appends the first n rows of src, which must have d's arity,
+// as if each were passed to AppendRow in order. When d and src derive from
+// the same origin, a value ID below the origin's dictionary size means the
+// same value in both and is copied as it is; only values past it are
+// interned by string. Otherwise every cell is interned by string.
+func (d *Dataset) AppendFrom(src *Dataset, n int) error {
+	if len(src.Attrs) != len(d.Attrs) {
+		return fmt.Errorf("table: source arity %d does not match schema arity %d", len(src.Attrs), len(d.Attrs))
+	}
+	if n < 0 || n > src.nrows {
+		return fmt.Errorf("table: cannot append %d of %d source rows", n, src.nrows)
+	}
+	shared := d.origin != nil && d.origin == src.origin
+	for j := range d.cols {
+		c, s := &d.cols[j], &src.cols[j]
+		var prefix uint32
+		if shared {
+			prefix = uint32(len(d.origin.cols[j].dict))
+		}
+		for _, id := range s.ids[:n] {
+			if id >= prefix {
+				id = c.intern(s.dict[id])
+			}
+			c.ids = append(c.ids, id)
+		}
+	}
+	d.nrows += n
+	return nil
+}
+
 // ColIndex returns the index of the named attribute, or -1 if absent.
 func (d *Dataset) ColIndex(attr string) int {
 	for i, a := range d.Attrs {
@@ -264,8 +309,10 @@ func (d *Dataset) Column(col int) []string {
 	return out
 }
 
-// Clone deep-copies the dataset. Mutating the clone never affects the
+// Clone copies the dataset. Mutating the clone never affects the
 // original, which matters when injecting errors into a clean ground truth.
+// Cloning a Derive of a large NewFromDicts dataset costs O(rows + values
+// interned past it), not O(dictionary); see column.clone.
 func (d *Dataset) Clone() *Dataset {
 	c := &Dataset{Name: d.Name, Attrs: append([]string(nil), d.Attrs...), nrows: d.nrows}
 	c.cols = make([]column, len(d.cols))

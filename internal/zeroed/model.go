@@ -35,7 +35,7 @@ type Model struct {
 	cfg     Config
 	attrs   []string
 	dicts   [][]string     // per-column intern pools at fit time, capacity-clamped
-	proto   *table.Dataset // rows-free dataset over dicts, indexed once; see bind
+	proto   *table.Dataset // rows-free dataset over dicts, indexed once; see Bind
 	fitRows int
 	ext     *feature.Extractor
 	mlp     *nn.MLP // nil on a degenerate fit (single-class training data)
@@ -141,10 +141,13 @@ func (m *Model) SetWorkers(n int) {
 	m.cfg = c.withDefaults()
 }
 
-// bind creates the empty scoring dataset seeded with the model's
-// dictionaries, so appended rows intern seen values to their fit-time IDs.
-// It shares the proto's frozen index, so it costs O(columns).
-func (m *Model) bind() *table.Dataset {
+// Bind returns an empty dataset bound to the model's dictionaries: rows
+// appended to it (or loaded into it with table.NewStreamInto) intern
+// values seen at fit time to their fit-time IDs and unseen values to fresh
+// IDs past them. It is a Derive of the model's dictionary-seeded dataset,
+// costs O(columns), and ScoreOn scores it without re-interning. Each call
+// returns a new dataset, so concurrent requests never share one.
+func (m *Model) Bind() *table.Dataset {
 	return m.proto.Derive("score")
 }
 
@@ -170,39 +173,53 @@ func (m *Model) checkSchema(attrs []string) error {
 // diagnostics live in Info. The context is checked per scoring shard unit
 // and every few hundred rows within a shard.
 //
-// The dataset's cells are re-interned against the model's dictionaries and
-// the bound copy is scored. For the fitting dataset this reproduces the
-// fit-time value IDs exactly (the pools were captured from it), which is
-// what makes DetectOn ≡ FitOn + ScoreOn bit-identical.
+// A dataset made by this model's Bind is already bound to its
+// dictionaries and is scored as it is; deciding that is an O(1) identity
+// check, never a comparison of contents. Any other dataset — a fresh load,
+// or one bound to another model or to a model a refit has since replaced —
+// is first re-interned into a Bind, under a score.bind span. For the
+// fitting dataset this reproduces the fit-time value IDs exactly (the
+// pools were captured from it), which is what makes DetectOn ≡ FitOn +
+// ScoreOn bit-identical. Both paths give every cell the same ID in the
+// same order, so they score bit-identically.
 func (m *Model) ScoreOn(ctx context.Context, p *Pool, d *table.Dataset) (*Result, error) {
 	if err := m.checkSchema(d.Attrs); err != nil {
 		return nil, err
 	}
-	sd := m.bind()
-	_, bindSpan := obs.Start(ctx, "score.bind")
-	row := make([]string, d.NumCols())
-	for i := 0; i < d.NumRows(); i++ {
-		for j := range row {
-			row[j] = d.Value(i, j)
+	sd := d
+	if !d.DerivedFrom(m.proto) {
+		sd = m.Bind()
+		_, bindSpan := obs.Start(ctx, "score.bind")
+		err := sd.AppendFrom(d, d.NumRows())
+		bindSpan.End()
+		if err != nil {
+			return nil, err
 		}
-		sd.MustAppendRow(row)
 	}
-	bindSpan.End()
 	return m.scoreBound(ctx, p.orNew(m.cfg.Workers), sd)
 }
 
 // ScoreRowsOn scores raw tuples (in the model's attribute order) on pool p
 // (nil: a private pool of the model's Workers) without an intermediate
-// dataset: rows are interned directly into a dataset bound to the model's
-// dictionaries. A row whose arity does not match the schema is rejected.
+// dataset: rows are interned directly into a Bind of the model and scored
+// by ScoreOn. A row whose arity does not match the schema is rejected.
 func (m *Model) ScoreRowsOn(ctx context.Context, p *Pool, rows [][]string) (*Result, error) {
-	sd := m.bind()
+	sd, err := m.bindRows(rows)
+	if err != nil {
+		return nil, err
+	}
+	return m.ScoreOn(ctx, p, sd)
+}
+
+// bindRows interns raw tuples into a fresh Bind of the model.
+func (m *Model) bindRows(rows [][]string) (*table.Dataset, error) {
+	sd := m.Bind()
 	for i, r := range rows {
 		if err := sd.AppendRow(r); err != nil {
 			return nil, fmt.Errorf("zeroed: row %d: %w", i, err)
 		}
 	}
-	return m.scoreBound(ctx, p.orNew(m.cfg.Workers), sd)
+	return sd, nil
 }
 
 // scoreBound scores every cell of a dataset already bound to the model's

@@ -21,7 +21,7 @@ const maxSharedCacheEntries = 1 << 20
 // per-shard dedup cache uses, and they are only admitted when every
 // participating ID is below the fit-time dictionary size: those IDs are
 // stable across all datasets bound to the model's dictionaries
-// (Model.bind), so a key means the same value combination — and
+// (Model.Bind), so a key means the same value combination — and
 // therefore the bit-identical feature vector and score — in every call.
 // Values interned per scoring call (novel data) get per-call IDs and are
 // deliberately never cached here.

@@ -57,7 +57,7 @@ func TestScoreShardCountsMatchDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd := m.bind()
+	sd := m.Bind()
 	for i := 0; i < bench.Dirty.NumRows(); i++ {
 		sd.MustAppendRow(bench.Dirty.Row(i))
 	}

@@ -20,9 +20,9 @@ import (
 // accumulate into a dictionary-bound dataset that a drift-triggered refit
 // trains a successor on.
 //
-// Chunking invariance: each chunk is scored by Model.ScoreRowsOn, which
-// binds its own scoring dataset per call, so a verdict depends only on the
-// model and the row's cell values — the same byte stream split at any chunk
+// Chunking invariance: each chunk is bound into its own Bind of the model
+// and scored by Model.ScoreOn, so a verdict depends only on the model and
+// the row's cell values — the same byte stream split at any chunk
 // boundaries yields the identical verdict sequence. Drift observation is
 // per cell value, equally chunk-invariant.
 //
@@ -180,6 +180,13 @@ func (ss *StreamScorer) Gauges() (stats.DriftGauges, int) {
 // concurrent hot-swap never tears a chunk: every row of the chunk is scored
 // by the one model captured at entry, reported in the status version.
 // Scoring runs on p; a nil p means a private pool of the model's Workers.
+//
+// The chunk is interned once, into a Bind of that model, and the fold
+// reuses its value IDs: the drift tracker counts them without hashing a
+// cell, and the accumulator copies fit-time IDs and interns only unseen
+// values by string. When Install swapped the model in between, the chunk's
+// IDs belong to the old dictionaries; both folds see that the chunk is not
+// bound to the current ones and resolve its cells by string instead.
 func (ss *StreamScorer) ScoreChunk(ctx context.Context, p *Pool, rows [][]string) (*Result, ChunkStatus, error) {
 	ss.mu.Lock()
 	m, version := ss.m, ss.version
@@ -190,20 +197,36 @@ func (ss *StreamScorer) ScoreChunk(ctx context.Context, p *Pool, rows [][]string
 	span.SetInt("rows", int64(len(rows)))
 	span.SetInt("version", int64(version))
 
-	res, err := m.ScoreRowsOn(ctx, p, rows)
+	sd, err := m.bindRows(rows)
+	if err != nil {
+		return nil, ChunkStatus{Version: version}, err
+	}
+	res, err := m.ScoreOn(ctx, p, sd)
 	if err != nil {
 		return nil, ChunkStatus{Version: version}, err
 	}
 
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	for _, r := range rows {
-		// Arity was validated by scoring; a mismatch here is unreachable.
-		if err := ss.drift.ObserveRow(r); err != nil {
-			return nil, ChunkStatus{Version: version}, err
-		}
-		if ss.accum.NumRows() < ss.cfg.MaxAccumRows {
-			ss.accum.MustAppendRow(r)
+	st, err := ss.foldLocked(sd)
+	if err != nil {
+		return nil, ChunkStatus{Version: version}, err
+	}
+	return res, st, nil
+}
+
+// foldLocked folds a bound chunk into the drift gauges and the refit
+// accumulator of the current model and reports the resulting status. A
+// chunk bound to a model Install has since replaced is resolved by string
+// in both. Caller holds mu.
+func (ss *StreamScorer) foldLocked(sd *table.Dataset) (ChunkStatus, error) {
+	// Arity was validated by binding; an error here is unreachable.
+	if err := ss.drift.Observe(sd); err != nil {
+		return ChunkStatus{}, err
+	}
+	if room := ss.cfg.MaxAccumRows - ss.accum.NumRows(); room > 0 {
+		if err := ss.accum.AppendFrom(sd, min(room, sd.NumRows())); err != nil {
+			return ChunkStatus{}, err
 		}
 	}
 	st := ChunkStatus{Version: ss.version, Drift: ss.drift.Gauges()}
@@ -211,7 +234,7 @@ func (ss *StreamScorer) ScoreChunk(ctx context.Context, p *Pool, rows [][]string
 		!ss.refitting.Load() && ss.refitAllowedLocked() {
 		st.ShouldRefit = true
 	}
-	return res, st, nil
+	return st, nil
 }
 
 // ScoreSource drains a table.RowSource through ScoreChunk: rows arrive in
