@@ -7,7 +7,8 @@
 //
 // Experiments: table3, table4, table5, table6, fig6, fig7, fig8, fig9,
 // fig10, fig11, all. Results print in the layout of the corresponding
-// table or figure; EXPERIMENTS.md records a reference run.
+// table or figure; go run ./cmd/experiments -exp <id> -scale 1.0 runs one
+// at the paper's dataset sizes.
 package main
 
 import (
@@ -25,12 +26,10 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "dataset size multiplier vs Table II defaults")
 		seed    = flag.Int64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "ZeroED worker-pool size (0 = GOMAXPROCS); results are identical for any value")
-		batch   = flag.Bool("batch", false, "run the Fig. 7b/8b Tax sweeps as one DetectBatch over the shared pool")
 	)
 	flag.Parse()
 
-	o := experiments.Options{Scale: *scale, Seed: *seed, Out: os.Stdout,
-		Workers: *workers, Batch: *batch}
+	o := experiments.Options{Scale: *scale, Seed: *seed, Out: os.Stdout, Workers: *workers}
 	runners := map[string]func() error{
 		"table3": func() error { _, err := experiments.Table3(o); return err },
 		"table4": func() error { _, err := experiments.Table4(o); return err },

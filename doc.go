@@ -2,19 +2,20 @@
 // Zero-Shot Error Detection Through Large Language Model Reasoning"
 // (Ni et al., ICDE 2025, arXiv:2504.05345).
 //
-// The module root carries the benchmark harness (bench_test.go) that
-// regenerates every table and figure of the paper's evaluation; the
-// implementation lives under internal/ (README's "Package map" section is
-// the system inventory) and the runnable entry points under cmd/ and
-// examples/ (quickstart, custom, scoring, serving).
+// The implementation lives under internal/ (README's "Package map"
+// section is the system inventory) and the runnable entry points under
+// cmd/ and examples/ (quickstart, custom, scoring, serving). The module
+// root's bench_test.go times the detection engine (sharded and batched
+// detection, the FMED baseline).
 //
 // Entry points: cmd/zeroed (one-shot CLI detection, plus -model-out /
 // -model-in for producing and consuming fitted-model artifacts),
 // cmd/zeroedd (the HTTP/JSON detection service over internal/serve,
 // including the /v1/models registry for fit-once/score-forever online
-// scoring), cmd/experiments (paper tables and figures), and cmd/datagen
-// (benchmark CSV export). The layered benchmark is the separate perfbench
-// module, run through perfbench/run.sh.
+// scoring), cmd/experiments (the one way to run the paper's tables and
+// figures, whose orderings go test ./internal/experiments asserts), and
+// cmd/datagen (benchmark CSV export). The layered benchmark is the
+// separate perfbench module, run through perfbench/run.sh.
 //
 // The pipeline itself is split across internal/zeroed (FitOn: the
 // expensive induction/labeling/training phase, returning a reusable Model;

@@ -112,19 +112,12 @@ func (e *Embedder) wordVector(acc []float64, tok string) {
 	normalize(acc)
 }
 
-// Embed returns the semantic vector for a cell value: tokenize, drop stop
-// words, average the token vectors (Section III-B's f_sem). Null-like or
-// token-free values embed to the zero vector, which keeps them clustered
-// together.
-func (e *Embedder) Embed(value string) []float64 {
-	out := make([]float64, e.dim)
-	e.EmbedInto(out, value)
-	return out
-}
-
-// EmbedInto writes Embed(value) into dst, which must hold at least Dim()
-// values. Beyond tokenizing the value it allocates nothing for dimensions
-// up to 64 and tokens up to stackToken-2 bytes.
+// EmbedInto writes the semantic vector for a cell value into dst, which
+// must hold at least Dim() values: tokenize, drop stop words, average the
+// token vectors (Section III-B's f_sem). Null-like or token-free values
+// embed to the zero vector, which keeps them clustered together. Beyond
+// tokenizing the value it allocates nothing for dimensions up to 64 and
+// tokens up to stackToken-2 bytes.
 func (e *Embedder) EmbedInto(dst []float64, value string) {
 	dst = dst[:e.dim]
 	clear(dst)
@@ -149,21 +142,6 @@ func (e *Embedder) EmbedInto(dst []float64, value string) {
 	for i := range dst {
 		dst[i] *= inv
 	}
-}
-
-// Cosine returns the cosine similarity between two vectors, 0 when either
-// is zero.
-func Cosine(a, b []float64) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
 }
 
 func normalize(v []float64) {

@@ -66,14 +66,36 @@ func refEmbed(e *Embedder, value string) []float64 {
 	return acc
 }
 
-// sameBits reports whether Embed and EmbedInto both match the reference
-// embedding of value bit for bit.
+// embed returns value's embedding in a fresh slice.
+func embed(e *Embedder, value string) []float64 {
+	out := make([]float64, e.Dim())
+	e.EmbedInto(out, value)
+	return out
+}
+
+// cosine returns the cosine similarity between two vectors, 0 when either
+// is zero.
+func cosine(a, b []float64) float64 {
+	var dot, na, nb float64
+	for i := range a {
+		dot += a[i] * b[i]
+		na += a[i] * a[i]
+		nb += b[i] * b[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / math.Sqrt(na*nb)
+}
+
+// sameBits reports whether EmbedInto, into a fresh and into a dirty slice,
+// matches the reference embedding of value bit for bit.
 func sameBits(e *Embedder, value string) bool {
 	want := refEmbed(e, value)
 	into := make([]float64, e.dim+1)
 	into[0] = 7 // EmbedInto must overwrite, not accumulate
 	e.EmbedInto(into, value)
-	for i, got := range e.Embed(value) {
+	for i, got := range embed(e, value) {
 		if math.Float64bits(got) != math.Float64bits(want[i]) ||
 			math.Float64bits(into[i]) != math.Float64bits(want[i]) {
 			return false
@@ -132,8 +154,8 @@ func TestWordVectorZeroAlloc(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	e := New(32)
-	a := e.Embed("Bob Johnson")
-	b := e.Embed("Bob Johnson")
+	a := embed(e, "Bob Johnson")
+	b := embed(e, "Bob Johnson")
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("embedding must be deterministic")
@@ -145,15 +167,15 @@ func TestDim(t *testing.T) {
 	if got := New(0).Dim(); got != DefaultDim {
 		t.Errorf("default dim = %d, want %d", got, DefaultDim)
 	}
-	if got := len(New(16).Embed("x")); got != 16 {
-		t.Errorf("len(Embed) = %d, want 16", got)
+	if got := len(embed(New(16), "x")); got != 16 {
+		t.Errorf("len(embedding) = %d, want 16", got)
 	}
 }
 
 func TestEmptyAndNullEmbedToZero(t *testing.T) {
 	e := New(32)
 	for _, v := range []string{"", "   ", "---"} {
-		vec := e.Embed(v)
+		vec := embed(e, v)
 		for _, x := range vec {
 			if x != 0 {
 				t.Errorf("Embed(%q) should be zero vector", v)
@@ -165,11 +187,11 @@ func TestEmptyAndNullEmbedToZero(t *testing.T) {
 
 func TestSimilarStringsCloser(t *testing.T) {
 	e := New(64)
-	bachelor := e.Embed("Bachelor")
-	variant := e.Embed("Bachelors") // shares nearly all n-grams
-	other := e.Embed("Pneumonia")   // unrelated word
-	simVariant := Cosine(bachelor, variant)
-	simOther := Cosine(bachelor, other)
+	bachelor := embed(e, "Bachelor")
+	variant := embed(e, "Bachelors") // shares nearly all n-grams
+	other := embed(e, "Pneumonia")   // unrelated word
+	simVariant := cosine(bachelor, variant)
+	simOther := cosine(bachelor, other)
 	if simVariant <= simOther+0.2 {
 		t.Errorf("variant similarity %v should clearly exceed unrelated similarity %v", simVariant, simOther)
 	}
@@ -177,15 +199,15 @@ func TestSimilarStringsCloser(t *testing.T) {
 
 func TestIdenticalCosineOne(t *testing.T) {
 	e := New(32)
-	v := e.Embed("surgical infection prevention")
-	if got := Cosine(v, v); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Cosine(v,v) = %v, want 1", got)
+	v := embed(e, "surgical infection prevention")
+	if got := cosine(v, v); math.Abs(got-1) > 1e-9 {
+		t.Errorf("cosine(v,v) = %v, want 1", got)
 	}
 }
 
 func TestCosineZeroVector(t *testing.T) {
-	if got := Cosine([]float64{0, 0}, []float64{1, 2}); got != 0 {
-		t.Errorf("Cosine with zero vector = %v, want 0", got)
+	if got := cosine([]float64{0, 0}, []float64{1, 2}); got != 0 {
+		t.Errorf("cosine with zero vector = %v, want 0", got)
 	}
 }
 
@@ -193,7 +215,7 @@ func TestShortTokens(t *testing.T) {
 	e := New(32)
 	// Single-character tokens are shorter than the minimum n-gram after
 	// padding still works (padded "x" -> "<x>" has length 3).
-	v := e.Embed("x")
+	v := embed(e, "x")
 	var n float64
 	for _, c := range v {
 		n += c * c
@@ -214,8 +236,8 @@ func TestEmbedBoundsProperty(t *testing.T) {
 		if len(b) > 24 {
 			b = b[:24]
 		}
-		va, vb := e.Embed(a), e.Embed(b)
-		c := Cosine(va, vb)
+		va, vb := embed(e, a), embed(e, b)
+		c := cosine(va, vb)
 		if c < -1-1e-9 || c > 1+1e-9 {
 			return false
 		}
@@ -234,7 +256,7 @@ func BenchmarkEmbed(b *testing.B) {
 	e := New(DefaultDim)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Embed("surgical infection prevention measure code")
+		embed(e, "surgical infection prevention measure code")
 	}
 }
 
@@ -249,7 +271,7 @@ func FuzzEmbed(f *testing.F) {
 		if len(s) > 64 {
 			s = s[:64]
 		}
-		v := e.Embed(s)
+		v := embed(e, s)
 		if len(v) != 16 {
 			t.Fatalf("dim %d, want 16", len(v))
 		}

@@ -2,9 +2,8 @@
 // error types of the paper's taxonomy (missing values, typos, pattern
 // violations, outliers, rule violations) into clean datasets, standing in
 // for the BART error generator and the BigDaMa error-generator tooling the
-// paper uses for Billionaire and Tax. It also implements the paper's
-// Section IV-A rules for classifying an observed error's type, which the
-// per-error-type evaluation (Fig. 11) requires.
+// paper uses for Billionaire and Tax. Single-type specs drive the
+// per-error-type evaluation (Fig. 11).
 package errgen
 
 import (
@@ -233,119 +232,6 @@ func mineFDPairs(d *table.Dataset) [][2]int {
 		}
 	}
 	return out
-}
-
-// Classify assigns an error type to an observed (dirty, clean) pair using
-// the paper's Section IV-A rules: MV for explicit/implicit placeholders;
-// T for errors within edit distance <= 3 of the clean value; PV for error
-// formats unseen in the clean column; RV for values that break a mined
-// dependency; O otherwise (rare deviations).
-type Classifier struct {
-	clean         *table.Dataset
-	cleanPatterns []map[string]bool // L3 patterns per column
-	cleanValues   []map[string]bool
-	cleanClasses  []map[byte]bool // character classes present per column
-	numericCol    []bool
-	fds           []stats.FDCandidate
-}
-
-func charClass(r rune) byte {
-	switch {
-	case r >= '0' && r <= '9':
-		return 'D'
-	case (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z'):
-		return 'L'
-	case r == ' ' || r == '\t':
-		return 'W'
-	default:
-		return 'S'
-	}
-}
-
-// NewClassifier prepares pattern tables and FD evidence from the clean data.
-func NewClassifier(clean *table.Dataset) *Classifier {
-	c := &Classifier{clean: clean}
-	c.cleanPatterns = make([]map[string]bool, clean.NumCols())
-	c.cleanValues = make([]map[string]bool, clean.NumCols())
-	c.cleanClasses = make([]map[byte]bool, clean.NumCols())
-	c.numericCol = make([]bool, clean.NumCols())
-	for j := 0; j < clean.NumCols(); j++ {
-		pats := map[string]bool{}
-		vals := map[string]bool{}
-		classes := map[byte]bool{}
-		// Set-valued profiles depend only on the distinct values: one pass
-		// over the column's intern pool instead of every row.
-		for _, v := range clean.Dict(j) {
-			pats[text.Generalize(v, text.L3)] = true
-			vals[v] = true
-			for _, r := range v {
-				classes[charClass(r)] = true
-			}
-		}
-		c.cleanPatterns[j] = pats
-		c.cleanValues[j] = vals
-		c.cleanClasses[j] = classes
-		c.numericCol[j] = text.IsNumericColumn(clean.Column(j), 0.9)
-	}
-	for _, p := range mineFDPairs(clean) {
-		c.fds = append(c.fds, stats.FindFD(clean, p[0], p[1]))
-	}
-	return c
-}
-
-// Classify labels one erroneous cell. The dirty row supplies determinant
-// context for rule-violation checks. Rules follow Section IV-A with a
-// fixed precedence: MV, then T (edit distance <= 3), then RV (a legitimate
-// value breaking a dependency), then numeric outliers, then PV (formats
-// unseen in clean data), defaulting to O.
-func (c *Classifier) Classify(dirtyRow []string, row, col int) Type {
-	dirty := dirtyRow[col]
-	cleanV := c.clean.Value(row, col)
-	if text.IsNullLike(dirty) {
-		return Missing
-	}
-	// Large numeric magnitude shifts are outliers even when the edit
-	// distance is small ("50000" -> "50").
-	if c.numericCol[col] {
-		df, dok := text.ParseFloat(dirty)
-		cf, cok := text.ParseFloat(cleanV)
-		if dok && cok && cf != 0 {
-			ratio := df / cf
-			if ratio < 0 || ratio > 5 || ratio < 0.2 {
-				return Outlier
-			}
-		}
-	}
-	// Characters from classes the clean column never uses signal a format
-	// violation regardless of edit distance ("Kenya" -> "Kenya!!").
-	for _, r := range dirty {
-		if !c.cleanClasses[col][charClass(r)] {
-			return PatternViolation
-		}
-	}
-	if d := text.Levenshtein(dirty, cleanV); d > 0 && d <= 3 {
-		return Typo
-	}
-	if c.cleanValues[col][dirty] {
-		for _, fd := range c.fds {
-			if fd.Dep != col {
-				continue
-			}
-			det := dirtyRow[fd.Det]
-			if want, ok := fd.Mapping[det]; ok && dirty != want {
-				return RuleViolation
-			}
-		}
-	}
-	if c.numericCol[col] {
-		if _, ok := text.ParseFloat(dirty); ok {
-			return Outlier
-		}
-	}
-	if !c.cleanPatterns[col][text.Generalize(dirty, text.L3)] {
-		return PatternViolation
-	}
-	return Outlier
 }
 
 // SingleTypeSpec builds a Spec that injects only one error type at the

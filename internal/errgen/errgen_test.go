@@ -151,38 +151,6 @@ func TestTypoEditDistanceBound(t *testing.T) {
 	}
 }
 
-func TestClassifier(t *testing.T) {
-	clean := cleanData(200)
-	cls := NewClassifier(clean)
-	spec := Spec{Rates: map[Type]float64{
-		Missing: 0.02, Typo: 0.02, PatternViolation: 0.02, Outlier: 0.02, RuleViolation: 0.02,
-	}, FDPairs: [][2]int{{0, 1}}, Seed: 7}
-	dirty, log := Inject(clean, spec)
-	correct, total := 0, 0
-	for _, inj := range log {
-		got := cls.Classify(dirty.Row(inj.Row), inj.Row, inj.Col)
-		total++
-		if got == inj.Type {
-			correct++
-		}
-	}
-	// Classification is heuristic (the paper's rules are too); expect
-	// strong but not perfect agreement with the injector's intent.
-	if acc := float64(correct) / float64(total); acc < 0.7 {
-		t.Errorf("classifier agreement = %v, want >= 0.7 (total %d)", acc, total)
-	}
-}
-
-func TestClassifyMissing(t *testing.T) {
-	clean := cleanData(50)
-	cls := NewClassifier(clean)
-	row := append([]string(nil), clean.Row(0)...)
-	row[1] = "NULL"
-	if got := cls.Classify(row, 0, 1); got != Missing {
-		t.Errorf("Classify(NULL) = %s, want MV", got)
-	}
-}
-
 func TestSingleTypeSpec(t *testing.T) {
 	s := SingleTypeSpec(Typo, 0.05, 9)
 	if len(s.Rates) != 1 || s.Rates[Typo] != 0.05 {

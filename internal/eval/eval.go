@@ -1,14 +1,12 @@
 // Package eval implements the evaluation machinery of Section IV:
-// cell-level precision/recall/F1 against ground truth, per-error-type
-// metrics (Fig. 11), and formatting helpers that render results in the
-// layout of the paper's tables.
+// cell-level precision/recall/F1 against ground truth, and formatting
+// helpers that render results in the layout of the paper's tables.
 package eval
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/errgen"
 	"repro/internal/table"
 )
 
@@ -66,52 +64,6 @@ func ComputeAgainst(pred [][]bool, dirty, clean *table.Dataset) (Metrics, error)
 		return Metrics{}, err
 	}
 	return Compute(pred, truth), nil
-}
-
-// PerType scores predictions separately for each error type, classifying
-// each true error with the Section IV-A rules. Precision cannot be
-// attributed to a type (false positives have no type), so per-type rows
-// report recall-oriented F1 the way Fig. 11 does: precision is shared
-// (overall), recall is type-specific.
-func PerType(pred [][]bool, dirty, clean *table.Dataset) (map[errgen.Type]Metrics, error) {
-	truth, err := table.ErrorMask(dirty, clean)
-	if err != nil {
-		return nil, err
-	}
-	overall := Compute(pred, truth)
-	cls := errgen.NewClassifier(clean)
-	tp := map[errgen.Type]int{}
-	fn := map[errgen.Type]int{}
-	for i := range truth {
-		var dirtyRow []string // materialized once per row with errors
-		for j := range truth[i] {
-			if !truth[i][j] {
-				continue
-			}
-			if dirtyRow == nil {
-				dirtyRow = dirty.Row(i)
-			}
-			t := cls.Classify(dirtyRow, i, j)
-			if pred[i][j] {
-				tp[t]++
-			} else {
-				fn[t]++
-			}
-		}
-	}
-	out := map[errgen.Type]Metrics{}
-	for _, t := range errgen.AllTypes() {
-		if tp[t]+fn[t] == 0 {
-			continue
-		}
-		m := Metrics{TP: tp[t], FN: fn[t], Precision: overall.Precision}
-		m.Recall = float64(tp[t]) / float64(tp[t]+fn[t])
-		if m.Precision+m.Recall > 0 {
-			m.F1 = 2 * m.Precision * m.Recall / (m.Precision + m.Recall)
-		}
-		out[t] = m
-	}
-	return out, nil
 }
 
 // Row formats one method's metrics across datasets as a fixed-width table

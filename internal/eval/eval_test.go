@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/errgen"
 	"repro/internal/table"
 )
 
@@ -74,34 +73,6 @@ func TestComputeAgainst(t *testing.T) {
 	}
 	if _, err := ComputeAgainst(pred, dirty, table.New("t", []string{"a"})); err == nil {
 		t.Error("shape mismatch must error")
-	}
-}
-
-func TestPerType(t *testing.T) {
-	clean := table.New("t", []string{"Name", "Score"})
-	for i := 0; i < 50; i++ {
-		clean.MustAppendRow([]string{"Alice", "10"})
-	}
-	dirty := clean.Clone()
-	dirty.SetValue(0, 0, "")      // MV
-	dirty.SetValue(1, 1, "10000") // O (numeric shift)
-	pred := [][]bool{}
-	for i := 0; i < 50; i++ {
-		pred = append(pred, []bool{false, false})
-	}
-	pred[0][0] = true // catch the MV, miss the outlier
-	byType, err := PerType(pred, dirty, clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := byType[errgen.Missing]; !ok || m.Recall != 1 {
-		t.Errorf("MV recall = %+v, want 1", byType[errgen.Missing])
-	}
-	if m, ok := byType[errgen.Outlier]; !ok || m.Recall != 0 {
-		t.Errorf("O recall = %+v, want 0", byType[errgen.Outlier])
-	}
-	if _, ok := byType[errgen.RuleViolation]; ok {
-		t.Error("absent error types must not appear")
 	}
 }
 

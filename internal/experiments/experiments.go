@@ -4,8 +4,9 @@
 // Fig. 6 (Raha active-learning curve), Fig. 7 (runtime), Fig. 8 (token
 // cost), Fig. 9 (label-rate sweep), Fig. 10 (correlated-attribute sweep),
 // and Fig. 11 (per-error-type performance). Each experiment returns
-// structured results and can render itself in the paper's layout; the
-// cmd/experiments binary and the root-level benchmarks are thin wrappers.
+// structured results and can render itself in the paper's layout.
+// cmd/experiments is the one way to run them (-exp <id> -scale 1.0 for
+// paper sizes); this package's tests assert their orderings at Scale 0.1.
 package experiments
 
 import (
@@ -18,7 +19,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/eval"
 	"repro/internal/llm"
-	"repro/internal/table"
 	"repro/internal/zeroed"
 )
 
@@ -37,11 +37,6 @@ type Options struct {
 	// Workers bounds ZeroED's shared worker pool (0 = GOMAXPROCS). Results
 	// are identical for any value; only wall-clock changes.
 	Workers int
-	// Batch runs the Fig. 7b/8b Tax sweep's ZeroED detections as one
-	// DetectBatch over the shared pool instead of serially. Per-size
-	// results are bit-identical either way; the reported per-size runtimes
-	// then reflect concurrent execution.
-	Batch bool
 }
 
 func (o Options) withDefaults() Options {
@@ -138,34 +133,14 @@ func runMethod(m baselines.Method, b *datasets.Bench) (eval.Metrics, time.Durati
 	return met, el, err
 }
 
-// taxSweep returns a per-index source of (bench, ZeroED result) pairs for
-// the Fig. 7b/8b Tax subset sweep. With Options.Batch, every size is
-// generated up front and detected concurrently as one DetectBatch over a
-// shared worker pool — per-size results are bit-identical to serial runs
-// (batching changes scheduling, never results), but reported runtimes then
-// reflect concurrent execution. Serially, each call generates and detects
-// one size so peak memory stays that of the largest subset.
-func taxSweep(o Options, sizes []int) (func(idx int) (*datasets.Bench, *zeroed.Result, error), error) {
-	if o.Batch {
-		benches := make([]*datasets.Bench, len(sizes))
-		ds := make([]*table.Dataset, len(sizes))
-		for i, n := range sizes {
-			benches[i] = datasets.Tax(n, o.Seed)
-			ds[i] = benches[i].Dirty
-		}
-		results, err := zeroed.New(o.zeroedConfig()).DetectBatch(context.TODO(), ds)
-		if err != nil {
-			return nil, err
-		}
-		return func(idx int) (*datasets.Bench, *zeroed.Result, error) {
-			return benches[idx], results[idx], nil
-		}, nil
-	}
-	return func(idx int) (*datasets.Bench, *zeroed.Result, error) {
-		b := datasets.Tax(sizes[idx], o.Seed)
-		_, zres, err := runZeroED(b, o.zeroedConfig())
-		return b, zres, err
-	}, nil
+// taxRun generates the Fig. 7b/8b Tax subset of n tuples and runs ZeroED
+// on it. The sweep calls it once per size, one size at a time, so each
+// reported runtime is that size's alone and peak memory stays that of the
+// largest subset.
+func taxRun(o Options, n int) (*datasets.Bench, *zeroed.Result, error) {
+	b := datasets.Tax(n, o.Seed)
+	_, zres, err := runZeroED(b, o.zeroedConfig())
+	return b, zres, err
 }
 
 // taxSizes resolves the Fig. 7b/8b subset sweep.

@@ -70,9 +70,9 @@ func TestTable4AblationsDegrade(t *testing.T) {
 		}
 	}
 	// Correlated context triples the feature dimension, so its benefit
-	// needs realistic data volume (see EXPERIMENTS.md); at this starved
-	// test scale we assert only the robust invariant — it must help on the
-	// dependency-rich Hospital benchmark.
+	// needs realistic data volume (go run ./cmd/experiments -exp table4
+	// -scale 1.0); at this starved test scale we assert only the robust
+	// invariant — it must help on the dependency-rich Hospital benchmark.
 	if a := res.Cells["w/o Corr."]["Hospital"].F1; a > res.Cells["ZeroED"]["Hospital"].F1+0.03 {
 		t.Errorf("w/o Corr. on Hospital F1 %.3f should not exceed full %.3f",
 			a, res.Cells["ZeroED"]["Hospital"].F1)

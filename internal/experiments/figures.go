@@ -131,12 +131,8 @@ func Fig7(o Options) (*Fig7Result, error) {
 	// Tax subset sweep (50k..200k scaled, or Options.TaxSizes).
 	fmt.Fprintln(o.Out, "Fig. 7b: runtime across Tax subset sizes")
 	res.TaxSizes = o.taxSizes()
-	taxAt, err := taxSweep(o, res.TaxSizes)
-	if err != nil {
-		return nil, err
-	}
-	for idx, n := range res.TaxSizes {
-		b, zres, err := taxAt(idx)
+	for _, n := range res.TaxSizes {
+		b, zres, err := taxRun(o, n)
 		if err != nil {
 			return nil, err
 		}
@@ -202,12 +198,8 @@ func Fig8(o Options) (*Fig8Result, error) {
 
 	fmt.Fprintln(o.Out, "Fig. 8b: token cost across Tax subset sizes")
 	res.TaxSizes = o.taxSizes()
-	taxAt, err := taxSweep(o, res.TaxSizes)
-	if err != nil {
-		return nil, err
-	}
-	for idx, n := range res.TaxSizes {
-		b, zres, err := taxAt(idx)
+	for _, n := range res.TaxSizes {
+		b, zres, err := taxRun(o, n)
 		if err != nil {
 			return nil, err
 		}
@@ -226,21 +218,6 @@ func Fig8(o Options) (*Fig8Result, error) {
 			n, z.Total(), f.Total(), 100*reduction)
 	}
 	return res, nil
-}
-
-// ReductionAtMax returns ZeroED's token-cost reduction vs FM_ED at the
-// largest Tax size (the paper reports >90%).
-func (r *Fig8Result) ReductionAtMax() float64 {
-	z := r.PerSize["ZeroED"]
-	f := r.PerSize["FM_ED"]
-	if len(z) == 0 || len(f) == 0 {
-		return 0
-	}
-	zt, ft := z[len(z)-1].Total(), f[len(f)-1].Total()
-	if ft == 0 {
-		return 0
-	}
-	return 1 - float64(zt)/float64(ft)
 }
 
 // SweepResult holds a one-parameter sweep of ZeroED: Metrics[dataset][i]

@@ -42,10 +42,6 @@ func (b *Base) Contains(typ, value string) bool {
 	return b.types[typ][strings.ToLower(strings.TrimSpace(value))]
 }
 
-// Entities returns the entity set for a type (shared map; treat as
-// read-only).
-func (b *Base) Entities(typ string) map[string]bool { return b.types[typ] }
-
 // Types returns the number of registered semantic types.
 func (b *Base) Types() int { return len(b.types) }
 

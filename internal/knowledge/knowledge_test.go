@@ -62,14 +62,3 @@ func TestBestType(t *testing.T) {
 		t.Error("empty base BestType should be empty")
 	}
 }
-
-func TestEntitiesAccessor(t *testing.T) {
-	b := NewBase()
-	b.AddEntities("City", "Chicago")
-	if len(b.Entities("City")) != 1 {
-		t.Error("Entities should expose the set")
-	}
-	if b.Entities("missing") != nil {
-		t.Error("Entities for unknown type should be nil")
-	}
-}

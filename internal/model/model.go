@@ -355,7 +355,10 @@ func encodeConfig(w *writer, st *zeroed.ModelState) {
 	w.bool(c.DisableCriteria)
 	w.bool(c.DisableCorrelated)
 	w.bool(c.DisableVerification)
-	w.bool(c.DisablePropagation)
+	// One slot, once Config.DisablePropagation. Every fit propagates
+	// labels, so it is written as false to keep the byte layout, and
+	// decodeConfig rejects an artifact that has it set.
+	w.bool(false)
 
 	w.int(st.FitRows)
 	w.int(st.Info.SampledCells)
@@ -407,7 +410,11 @@ func decodeConfig(r *reader, st *zeroed.ModelState, version uint32) error {
 	c.DisableCriteria = r.bool()
 	c.DisableCorrelated = r.bool()
 	c.DisableVerification = r.bool()
-	c.DisablePropagation = r.bool()
+	if r.bool() {
+		// A model fitted without label propagation cannot be rebuilt by a
+		// refit here, which always propagates.
+		r.failf("model: artifact was fitted without label propagation, which this build does not support")
+	}
 	st.Cfg = c
 
 	st.FitRows = r.int()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -229,6 +230,34 @@ func TestDecodeRejectsBitFlips(t *testing.T) {
 		if _, err := Decode(bad); err == nil {
 			t.Fatalf("bit flip at byte %d of %d accepted", pos, len(data))
 		}
+	}
+}
+
+// TestDecodeRejectsUnpropagatedFit: the config slot that once held
+// Config.DisablePropagation is always written as false. An artifact with it
+// set, checksums intact, is corrupt, because a model fitted without label
+// propagation would be silently refit with propagation on.
+func TestDecodeRejectsUnpropagatedFit(t *testing.T) {
+	m, _ := fitSmall(t)
+	data, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The config section is first. After the slot come nine 8-byte fit
+	// facts (rows, four counts, three token counts, runtime) and the two
+	// 8-byte lineage fields.
+	bad := append([]byte(nil), data...)
+	off := len(Magic) + 8
+	plen := int(binary.LittleEndian.Uint64(bad[off+4:]))
+	slot := off + 12 + plen - (9+2)*8 - 1
+	if bad[slot] != 0 {
+		t.Fatalf("propagation slot holds %d, want 0", bad[slot])
+	}
+	bad[slot] = 1
+	binary.LittleEndian.PutUint32(bad[off+12+plen:], crc32.ChecksumIEEE(bad[off:off+12+plen]))
+	_, err = Decode(bad)
+	if !IsCorrupt(err) || !strings.Contains(err.Error(), "propagation") {
+		t.Fatalf("propagation slot set: err = %v, want a propagation CorruptError", err)
 	}
 }
 

@@ -21,7 +21,7 @@
 // order and the trained bits do not depend on the team size, nor on a
 // starved team retiring mid-run. Snapshot and FromSnapshot convert to and
 // from row-major at the artifact boundary.
-// Inference (Predict / PredictInto) is allocation-free in steady state,
+// Inference (PredictInto) is allocation-free in steady state,
 // drawing activation scratch from an internal pool so that many goroutines
 // can score against one fitted model concurrently.
 package nn
@@ -613,14 +613,6 @@ func zero(xs []float64) {
 	for i := range xs {
 		xs[i] = 0
 	}
-}
-
-// Predict returns the error probability for a single feature vector. It is
-// allocation-free in steady state and safe for concurrent use.
-func (m *MLP) Predict(x []float64) float64 {
-	var out [1]float64
-	m.PredictInto(x, 1, out[:])
-	return out[0]
 }
 
 // PredictInto runs batched inference over a flat row-major feature tile:

@@ -9,6 +9,13 @@ import (
 	"testing"
 )
 
+// predictOne returns m's error probability for a single feature vector.
+func predictOne(m *MLP, x []float64) float64 {
+	var out [1]float64
+	m.PredictInto(x, 1, out[:])
+	return out[0]
+}
+
 // trainRows trains m on nested sample rows, packed into the flat
 // row-major tile Train consumes.
 func trainRows(m *MLP, X [][]float64, y []float64) (float64, error) {
@@ -51,7 +58,7 @@ func TestLearnsXOR(t *testing.T) {
 	correct := 0
 	Xt, yt := xorData(rand.New(rand.NewSource(2)), 200)
 	for i, x := range Xt {
-		p := m.Predict(x)
+		p := predictOne(m, x)
 		if (p > 0.5) == (yt[i] == 1) {
 			correct++
 		}
@@ -97,7 +104,7 @@ func TestDeterministicTraining(t *testing.T) {
 		t.Errorf("same seed must give identical loss: %v vs %v", la, lb)
 	}
 	probe := []float64{0.5, 0.5}
-	if a.Predict(probe) != b.Predict(probe) {
+	if predictOne(a, probe) != predictOne(b, probe) {
 		t.Error("same seed must give identical predictions")
 	}
 }
@@ -112,9 +119,9 @@ func TestProbabilitiesInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range X {
-		p := m.Predict(x)
+		p := predictOne(m, x)
 		if p < 0 || p > 1 || math.IsNaN(p) {
-			t.Fatalf("Predict = %v out of [0,1]", p)
+			t.Fatalf("prediction %v out of [0,1]", p)
 		}
 	}
 }
@@ -143,8 +150,8 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	}
 }
 
-// TestPredictIntoMatchesPredict pins the flat-tile inference path to the
-// single-vector path bit for bit.
+// TestPredictIntoMatchesPredict pins inference over a flat tile to
+// inference one row at a time, bit for bit.
 func TestPredictIntoMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	X, y := xorData(rng, 120)
@@ -162,8 +169,8 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 	out := make([]float64, n)
 	m.PredictInto(tile, n, out)
 	for i := 0; i < n; i++ {
-		if got, want := out[i], m.Predict(X[i]); got != want {
-			t.Fatalf("PredictInto[%d] = %v, Predict = %v", i, got, want)
+		if got, want := out[i], predictOne(m, X[i]); got != want {
+			t.Fatalf("PredictInto[%d] = %v, one row at a time %v", i, got, want)
 		}
 	}
 	// nRows <= 0 is a no-op.
@@ -185,8 +192,8 @@ func TestPredictZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := X[0]
-	if allocs := testing.AllocsPerRun(200, func() { m.Predict(x) }); allocs != 0 {
-		t.Errorf("Predict allocates %v per run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { predictOne(m, x) }); allocs != 0 {
+		t.Errorf("one-row PredictInto allocates %v per run, want 0", allocs)
 	}
 	tile := make([]float64, 16*2)
 	out := make([]float64, 16)
@@ -211,7 +218,7 @@ func TestPredictConcurrentSafe(t *testing.T) {
 	}
 	want := make([]float64, len(X))
 	for i, x := range X {
-		want[i] = m.Predict(x)
+		want[i] = predictOne(m, x)
 	}
 	var wg sync.WaitGroup
 	errs := make([]int, 8)
@@ -221,7 +228,7 @@ func TestPredictConcurrentSafe(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
 				for i, x := range X {
-					if m.Predict(x) != want[i] {
+					if predictOne(m, x) != want[i] {
 						errs[g]++
 					}
 				}
@@ -287,7 +294,7 @@ func BenchmarkPredict(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Predict(X[i%len(X)])
+		predictOne(m, X[i%len(X)])
 	}
 }
 
@@ -300,7 +307,7 @@ func TestGradientNumerically(t *testing.T) {
 	y := []float64{1}
 
 	loss := func(m *MLP) float64 {
-		p := m.Predict(X[0])
+		p := predictOne(m, X[0])
 		return bceLoss(y[0], p)
 	}
 	// Finite difference on one weight (flat index 0 = row 0, col 0).
@@ -366,10 +373,10 @@ func TestClassImbalanceStillLearns(t *testing.T) {
 	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
-	if p := m.Predict([]float64{1, 0}); p < 0.5 {
+	if p := predictOne(m, []float64{1, 0}); p < 0.5 {
 		t.Errorf("positive-region probability = %v, want >= 0.5 despite imbalance", p)
 	}
-	if p := m.Predict([]float64{0, 0}); p > 0.5 {
+	if p := predictOne(m, []float64{0, 0}); p > 0.5 {
 		t.Errorf("negative-region probability = %v, want < 0.5", p)
 	}
 }

@@ -77,8 +77,8 @@ func TestPredictIntoMatchesReference(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				want := refForward(snap, row(i))
-				if p := m.Predict(row(i)); math.Float64bits(p) != math.Float64bits(want) {
-					t.Fatalf("%dx%dx%d %s: Predict row %d = %v, reference %v", sh.in, sh.h1, sh.h2, name, i, p, want)
+				if p := predictOne(m, row(i)); math.Float64bits(p) != math.Float64bits(want) {
+					t.Fatalf("%dx%dx%d %s: one-row PredictInto %d = %v, reference %v", sh.in, sh.h1, sh.h2, name, i, p, want)
 				}
 			}
 		}

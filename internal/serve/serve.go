@@ -452,15 +452,12 @@ func (s *Server) uploadSource(r *http.Request, body io.Reader, schema []string) 
 	return src, nil, nil
 }
 
-// errTooWide marks an upload header wider than the column cap. Every
-// route answers it with a 400 bad_upload, streams included.
-var errTooWide = errors.New("too many columns")
-
 // checkWidth rejects a source whose header is wider than maxCols (0: no
-// cap).
+// cap). Every route answers it with writeIngestErr's 400 bad_upload,
+// streams included.
 func checkWidth(src table.RowSource, maxCols int) error {
 	if n := len(src.Header()); maxCols > 0 && n > maxCols {
-		return fmt.Errorf("serve: %d columns exceeds the limit of %d: %w", n, maxCols, errTooWide)
+		return fmt.Errorf("serve: %d columns exceeds the limit of %d", n, maxCols)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -133,11 +132,7 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 	}
 	src, _, err := s.uploadSource(r, r.Body, e.m.Attrs())
 	if err != nil {
-		code := "bad_stream"
-		if errors.Is(err, errTooWide) {
-			code = "bad_upload"
-		}
-		writeErr(w, r, http.StatusBadRequest, code, err.Error())
+		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
 		return
 	}
 	withScores := r.URL.Query().Get("scores") != "0"

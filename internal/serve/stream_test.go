@@ -217,24 +217,31 @@ func TestStreamRejections(t *testing.T) {
 	bench := datasets.Hospital(120, 3)
 	st := fitHTTPModel(t, ts.URL, benchCSV(t, bench.Dirty), "?seed=3")
 
+	// Failures before the first verdict are a plain error status. An
+	// upload that fails on its header gets the code /score gives it.
 	cases := []struct {
-		name, url, body string
-		want            int
+		name, id, query, body string
+		want                  int
+		code                  string
+		header                bool // compare with /score on the same upload
 	}{
-		{"unknown model", "/v1/models/m-404404/stream", "a,b\n1,2\n", http.StatusNotFound},
-		{"wrong header", "/v1/models/" + st.ID + "/stream", "x,y\n1,2\n", http.StatusBadRequest},
-		{"bad chunk", "/v1/models/" + st.ID + "/stream?chunk=0", "", http.StatusBadRequest},
-		{"bad format", "/v1/models/" + st.ID + "/stream?format=xml", "", http.StatusBadRequest},
-		{"empty body", "/v1/models/" + st.ID + "/stream", "", http.StatusBadRequest},
+		{"unknown model", "m-404404", "", "a,b\n1,2\n", http.StatusNotFound, "not_found", false},
+		{"wrong header", st.ID, "", "x,y\n1,2\n", http.StatusBadRequest, "missing_columns", true},
+		{"bad chunk", st.ID, "?chunk=0", "", http.StatusBadRequest, "bad_param", false},
+		{"bad format", st.ID, "?format=xml", "", http.StatusBadRequest, "bad_upload", true},
+		{"empty body", st.ID, "", "", http.StatusBadRequest, "bad_upload", true},
 	}
 	for _, c := range cases {
-		resp, err := http.Post(ts.URL+c.url, "text/csv", strings.NewReader(c.body))
-		if err != nil {
-			t.Fatal(err)
+		base := ts.URL + "/v1/models/" + c.id
+		status, code, raw := postBody(t, base+"/stream"+c.query, "text/csv", []byte(c.body))
+		if status != c.want || code != c.code {
+			t.Errorf("%s: status %d code %q, want %d %q (%s)", c.name, status, code, c.want, c.code, raw)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != c.want {
-			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		if !c.header {
+			continue
+		}
+		if sStatus, sCode, _ := postBody(t, base+"/score"+c.query, "text/csv", []byte(c.body)); sStatus != status || sCode != code {
+			t.Errorf("%s: /score answers %d %q, /stream %d %q", c.name, sStatus, sCode, status, code)
 		}
 	}
 }

@@ -81,7 +81,7 @@ func FuzzTokenize(f *testing.F) {
 			if tok == "" {
 				t.Fatal("empty token")
 			}
-			if IsStopWord(tok) {
+			if stopWords[tok] {
 				t.Fatalf("stop word %q leaked", tok)
 			}
 		}

@@ -1,8 +1,8 @@
 // Package text implements the low-level string analysis primitives the
 // ZeroED pipeline relies on: tokenization with stop-word removal (for
-// semantic embeddings), Levenshtein edit distance (for typo reasoning and
-// the paper's error-type classification), the three-level pattern
-// generalization of Section III-B, and numeric parsing helpers.
+// semantic embeddings), Levenshtein edit distance (for typo reasoning),
+// the three-level pattern generalization of Section III-B, and numeric
+// parsing helpers.
 package text
 
 import (
@@ -20,9 +20,6 @@ var stopWords = map[string]bool{
 	"or": true, "that": true, "the": true, "to": true, "was": true, "were": true,
 	"will": true, "with": true,
 }
-
-// IsStopWord reports whether the (lowercased) token is a stop word.
-func IsStopWord(tok string) bool { return stopWords[strings.ToLower(tok)] }
 
 // Tokenize splits a cell value into lowercase alphanumeric tokens with stop
 // words removed. An empty result means the value carries no semantic tokens

@@ -52,24 +52,20 @@ func (e *engine) attrTrainingData(j int, posOf map[int]int, arng *rand.Rand) ([]
 	// Line 1: PropagateLabels — every member of a cluster inherits the
 	// centroid sample's LLM label.
 	var propagated []cellLabel
-	if cfg.DisablePropagation {
-		propagated = append(propagated, e.labeled[j]...)
-	} else {
-		labelOfCluster := map[int]bool{}
-		haveLabel := map[int]bool{}
-		cl := e.clusterings[j]
-		for _, lc := range e.labeled[j] {
-			c := cl.Assign[posOf[lc.row]]
-			labelOfCluster[c] = lc.isErr
-			haveLabel[c] = true
-		}
-		for pos, c := range cl.Assign {
-			if haveLabel[c] {
-				propagated = append(propagated, cellLabel{row: e.clusterRows[pos], col: j, isErr: labelOfCluster[c]})
-			}
-		}
-		propagated = capPropagated(propagated, cfg.MaxPropagatedPerAttr, arng)
+	labelOfCluster := map[int]bool{}
+	haveLabel := map[int]bool{}
+	cl := e.clusterings[j]
+	for _, lc := range e.labeled[j] {
+		c := cl.Assign[posOf[lc.row]]
+		labelOfCluster[c] = lc.isErr
+		haveLabel[c] = true
 	}
+	for pos, c := range cl.Assign {
+		if haveLabel[c] {
+			propagated = append(propagated, cellLabel{row: e.clusterRows[pos], col: j, isErr: labelOfCluster[c]})
+		}
+	}
+	propagated = capPropagated(propagated, cfg.MaxPropagatedPerAttr, arng)
 
 	if cfg.DisableVerification {
 		return propagated, nil

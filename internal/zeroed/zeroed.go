@@ -86,7 +86,6 @@ type Config struct {
 	DisableCriteria     bool // w/o Crit.: no criteria reasoning features
 	DisableCorrelated   bool // w/o Corr.: no correlated-attribute context
 	DisableVerification bool // w/o Veri.: no refinement/verification/augmentation
-	DisablePropagation  bool // extra ablation: train on LLM labels only
 }
 
 // withDefaults fills unset fields with the paper's defaults.
