@@ -169,6 +169,15 @@ func TestIsNullLike(t *testing.T) {
 	}
 }
 
+func TestIsStopWord(t *testing.T) {
+	if !stopWords["the"] || stopWords["hospital"] {
+		t.Error("stop word classification wrong")
+	}
+	if got := Tokenize("The"); len(got) != 0 {
+		t.Errorf("Tokenize(%q) = %v, want the stop word dropped regardless of case", "The", got)
+	}
+}
+
 func TestTokenizeNoStopWordsProperty(t *testing.T) {
 	f := func(s string) bool {
 		if len(s) > 40 {
